@@ -196,7 +196,7 @@ def run(config: ExperimentConfig) -> dict:
             "spectral": spectral_relaxation(adv, R),
             "decoupled_spectral": decoupled_spectral_relaxation(adv, R, Rp),
         }
-        if p.get("B"):
+        if p.get("B") is not None:
             val, se = truncated_spectral_relaxation(
                 adv, R, p["B"], samples=p.get("samples", 10_000), rng=rng.child(3)
             )

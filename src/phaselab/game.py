@@ -15,7 +15,9 @@ a uniformly random phase state averages to the maximally mixed state).
 
 Everything that maximizes over oracle functions goes through a single M x M
 Hermitian kernel B with  gap(f) = f^T B f, so each candidate f costs one
-quadratic form and single-sign flips cost O(M).
+quadratic form and single-sign flips cost O(M).  The exact maximum is a
+meet-in-the-middle search over half-vectors in O(2^(M/2)) memory, with ties
+broken to the lexicographically first maximizer (`max_abs_quadratic`).
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ __all__ = [
     "advantage_given_f",
     "advantage_kernel",
     "kernel_quadratic_form",
+    "max_abs_quadratic",
     "max_advantage_bruteforce",
     "max_advantage_localsearch",
     "simulate_game",
     "BRUTEFORCE_CUTOFF",
 ]
 
-BRUTEFORCE_CUTOFF = 24
-_CHUNK = 1 << 16
+BRUTEFORCE_CUTOFF = 28
+_BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran slower
 
 
 def check_signs(values) -> np.ndarray:
@@ -180,29 +183,51 @@ def kernel_quadratic_form(B: np.ndarray, f) -> float:
     return float(np.real(fv @ (B @ fv)))
 
 
-def _sign_chunk(start: int, stop: int, m: int) -> np.ndarray:
-    """Rows start..stop of the fixed enumeration of sign vectors with f_1 = +1.
+def _sign_rows(n: int) -> np.ndarray:
+    """All 2^n sign vectors of length n, lexicographic with +1 before -1."""
+    idx = np.arange(1 << n)[:, None]
+    return 1.0 - 2.0 * ((idx >> np.arange(n - 1, -1, -1)) & 1)
 
-    Index bits map to coordinates 2..M with coordinate 2 most significant and
-    bit 0 meaning +1, so the enumeration is lexicographic with +1 first and
-    the first maximizer found is the lexicographically first one.
+
+def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact max of |f^T K f| over sign vectors f with f_1 = +1, and a maximizer.
+
+    Meet in the middle (Horowitz-Sahni): f = (a, b) splits after ceil(M/2)
+    coordinates and f^T K f = q_a + a^T (K_ab + K_ba^T) b + q_b, so with q_a
+    and q_b appended to the two factors a block of a-rows against all b-rows
+    is one GEMM.  Blocks hold at most max(2^16, 2^floor(M/2)) values: memory is
+    O(2^(M/2)).  Row-major (a, b) order is lexicographic in f with +1 first and
+    a later block wins only on a strictly larger value, so ties break to the
+    lexicographically first maximizer.  K may be complex and non-Hermitian.
     """
-    idx = np.arange(start, stop, dtype=np.uint64)[:, None]
-    shifts = np.arange(m - 2, -1, -1, dtype=np.uint64)[None, :]
-    bits = (idx >> shifts) & 1
-    F = np.empty((stop - start, m))
-    F[:, 0] = 1.0
-    F[:, 1:] = 1.0 - 2.0 * bits
-    return F
+    m = K.shape[0]
+    ka = (m + 1) // 2
+    Fa = _sign_rows(ka)[: 1 << (ka - 1)]  # the first half has f_1 = +1
+    Fb = _sign_rows(m - ka)
+    qa = np.einsum("ij,ij->i", Fa @ K[:ka, :ka], Fa)
+    qb = np.einsum("ij,ij->i", Fb @ K[ka:, ka:], Fb)
+    A = np.column_stack([Fa, qa, np.ones(len(Fa))])
+    G = np.vstack([(K[:ka, ka:] + K[ka:, :ka].T) @ Fb.T, np.ones(len(Fb)), qb])
+    rows = max(1, _BLOCK // len(Fb))
+    best_val, best_idx = -1.0, 0
+    for start in range(0, len(Fa), rows):
+        vals = np.abs(A[start : start + rows] @ G)
+        j = int(np.argmax(vals))
+        if vals.flat[j] > best_val:
+            best_val, best_idx = float(vals.flat[j]), start * len(Fb) + j
+    i, j = divmod(best_idx, len(Fb))
+    return best_val, np.concatenate([Fa[i], Fb[j]])
 
 
 def max_advantage_bruteforce(adv_or_kernel, R=None, cutoff: int = BRUTEFORCE_CUTOFF):
     """Exact maximum advantage over all 2^M oracle functions.
 
-    The sign symmetry gap(f) = gap(-f) halves the enumeration by pinning
-    f_1 = +1.  Returns (advantage, maximizing f); ties break to the
-    lexicographically first maximizer.  Accepts either an adversary plus a
-    family or a precomputed kernel.
+    The sign symmetry gap(f) = gap(-f) halves the search by pinning f_1 = +1;
+    the rest is the meet-in-the-middle search of `max_abs_quadratic` on
+    Re(B), which is exact because f^T B f = f^T Re(B) f for real f.  Returns
+    (advantage, maximizing f); ties break to the lexicographically first
+    maximizer.  Accepts either an adversary plus a family or a precomputed
+    kernel.
     """
     if R is not None:
         B = advantage_kernel(adv_or_kernel, R)
@@ -214,22 +239,7 @@ def max_advantage_bruteforce(adv_or_kernel, R=None, cutoff: int = BRUTEFORCE_CUT
             f"brute force over 2^{m} oracle functions exceeds the cutoff "
             f"M = {cutoff}; use max_advantage_localsearch instead"
         )
-    if m == 1:
-        f = np.ones(1)
-        return abs(kernel_quadratic_form(B, f)), f
-    total = 1 << (m - 1)
-    best_val = -1.0
-    best_idx = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        F = _sign_chunk(start, stop, m)
-        vals = np.abs(np.real(np.einsum("ci,ci->c", F @ B, F)))
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
-    f = _sign_chunk(best_idx, best_idx + 1, m)[0]
-    return best_val, f
+    return max_abs_quadratic(np.real(B))
 
 
 def max_advantage_localsearch(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decomposition import ZERO_WEIGHT_TOL, rescaling_diagonals, truncate_values
-from .game import AdversarySpec, _sign_chunk, check_family, check_signs
+from .game import BRUTEFORCE_CUTOFF, AdversarySpec, check_family, check_signs, max_abs_quadratic
 from .numerics import CapacityError, RngStream, operator_norm
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "max_decoupled_bruteforce",
     "subset_norm_conjecture",
 ]
-
-_CHUNK = 1 << 16
 
 
 def _weights_and_mask(adv: AdversarySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -134,11 +132,13 @@ def decoupled_advantage_given_f(adv: AdversarySpec, R, Rp, f) -> float:
     return float(np.abs(fv @ (C @ fv)))
 
 
-def max_decoupled_bruteforce(adv: AdversarySpec, R, Rp, cutoff: int = 24):
+def max_decoupled_bruteforce(adv: AdversarySpec, R, Rp, cutoff: int = BRUTEFORCE_CUTOFF):
     """Exact max over oracle functions of the decoupled advantage.
 
     The kernel is generally non-Hermitian, so the quadratic form is complex;
-    the maximized quantity is its modulus.  Sign symmetry halves the search.
+    the maximized quantity is its modulus.  Sign symmetry halves the search;
+    `max_abs_quadratic` runs it meet-in-the-middle in O(2^(M/2)) memory, ties
+    breaking to the lexicographically first maximizer.
     """
     C = decoupled_kernel(adv, R, Rp)
     m = C.shape[0]
@@ -146,19 +146,7 @@ def max_decoupled_bruteforce(adv: AdversarySpec, R, Rp, cutoff: int = 24):
         raise CapacityError(
             f"brute force over 2^{m} oracle functions exceeds the cutoff {cutoff}"
         )
-    if m == 1:
-        f = np.ones(1)
-        return float(np.abs(C[0, 0])), f
-    total = 1 << (m - 1)
-    best_val, best_idx = -1.0, 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        F = _sign_chunk(start, stop, m)
-        vals = np.abs(np.einsum("ci,ci->c", (F + 0j) @ C, F))
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_idx = float(vals[j]), start + j
-    return best_val, _sign_chunk(best_idx, best_idx + 1, m)[0]
+    return max_abs_quadratic(C)
 
 
 def _subset_value_terms(projectors, states) -> list[np.ndarray]:

@@ -95,6 +95,12 @@ class TestRun:
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == "game"
 
+    def test_game_exact_up_to_cutoff(self):
+        cfg = ExperimentConfig(
+            kind="game", params={"N": 4, "M": 26, "K": 2, "rank": 13, "trials": 200}, seed=5
+        )
+        assert run(cfg)["values"]["method"] == "bruteforce"
+
     def test_records_append(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cfg = ExperimentConfig(
@@ -153,6 +159,12 @@ class TestMain:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("B", ["0", "-1"])
+    def test_nonpositive_truncation_bound_exit_code(self, B, capsys):
+        code = main(["relax", "--N", "4", "--M", "8", "--K", "2", "--B", B, "--seed", "1"])
+        assert code == 2
+        assert "truncation bound B must be positive" in capsys.readouterr().err
 
     def test_capacity_exit_code(self, capsys):
         # 32 projectors exceed the subset enumeration cutoff.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab.game import (
+    BRUTEFORCE_CUTOFF,
     AdversarySpec,
     acceptance_probability,
     advantage_given_f,
@@ -30,6 +31,14 @@ def _random_adversary(N, M, rank, seed):
         V=random_isometry(N, M, rng.child(0)),
         Pi=random_projector(M, rank, rng.child(1)),
     )
+
+
+def _lexfirst_max(B):
+    """Maximum of |f^T B f| over f with f_1 = +1 and its lexicographically first maximizer."""
+    fs = [np.array((1.0,) + t) for t in itertools.product((1.0, -1.0), repeat=B.shape[0] - 1)]
+    vals = [abs(float(np.real(f @ B @ f))) for f in fs]
+    i = int(np.argmax(vals))
+    return vals[i], fs[i]
 
 
 class TestValidatorsAndStates:
@@ -133,6 +142,30 @@ class TestBruteForce:
         best, f = max_advantage_bruteforce(adv, R)
         assert best == pytest.approx(exhaustive, abs=1e-12)
         assert advantage_given_f(adv, R, f) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10])
+    def test_matches_lexicographic_enumeration(self, m):
+        n = max(1, m // 2)
+        adv = _random_adversary(n, m, n, 60 + m)
+        B = advantage_kernel(adv, random_family(3, n, RngStream(70 + m)))
+        ref_val, ref_f = _lexfirst_max(B)
+        best, f = max_advantage_bruteforce(B)
+        assert best == pytest.approx(ref_val, abs=1e-12)
+        np.testing.assert_array_equal(f, ref_f)
+
+    @pytest.mark.parametrize("B", [np.zeros((5, 5)), np.diag([0.3, -0.1, 0.25, 0.0, -0.05])])
+    def test_ties_break_to_all_ones(self, B):
+        best, f = max_advantage_bruteforce(B)
+        assert best == pytest.approx(abs(np.trace(B)), abs=1e-15)
+        np.testing.assert_array_equal(f, np.ones(5))
+
+    def test_dominates_localsearch_at_cutoff(self):
+        adv = _random_adversary(8, BRUTEFORCE_CUTOFF, BRUTEFORCE_CUTOFF // 2, 46)
+        B = advantage_kernel(adv, random_family(4, 8, RngStream(47)))
+        best, f = max_advantage_bruteforce(B)
+        local, _ = max_advantage_localsearch(B, rng=RngStream(48))
+        assert abs(kernel_quadratic_form(B, f)) == pytest.approx(best, abs=1e-12)
+        assert best >= local - 1e-12
 
     def test_witness_first_coordinate_positive(self):
         adv = _random_adversary(4, 6, 3, 42)

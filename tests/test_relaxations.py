@@ -34,6 +34,14 @@ def _random_adversary(N, M, rank, seed):
     )
 
 
+def _lexfirst_max(C):
+    """Maximum of |f^T C f| over f with f_1 = +1 and its lexicographically first maximizer."""
+    fs = [np.array((1.0,) + t) for t in itertools.product((1.0, -1.0), repeat=C.shape[0] - 1)]
+    vals = [abs(f @ C @ f) for f in fs]
+    i = int(np.argmax(vals))
+    return vals[i], fs[i]
+
+
 class TestHaarTerm:
     def test_matches_exhaustive_sign_average(self):
         # Independent oracle: enumerate all 2^N sign functions at N=8 and
@@ -117,6 +125,25 @@ class TestDecoupled:
         for seed in range(5):
             f = random_signs(8, RngStream(40 + seed))
             assert decoupled_advantage_given_f(adv, R, Rp, f) <= best + 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10])
+    def test_bruteforce_matches_lexicographic_enumeration(self, m):
+        n = max(1, m // 2)
+        adv = _random_adversary(n, m, n, 80 + m)
+        R = random_family(3, n, RngStream(90 + m))
+        Rp = random_family(3, n, RngStream(100 + m))
+        ref_val, ref_f = _lexfirst_max(decoupled_kernel(adv, R, Rp))
+        best, f = max_decoupled_bruteforce(adv, R, Rp)
+        assert best == pytest.approx(ref_val, abs=1e-12)
+        np.testing.assert_array_equal(f, ref_f)
+
+    def test_bruteforce_zero_kernel_breaks_ties_to_all_ones(self):
+        adv = AdversarySpec(V=random_isometry(3, 5, RngStream(110)), Pi=np.zeros((5, 5)))
+        best, f = max_decoupled_bruteforce(
+            adv, random_family(2, 3, RngStream(111)), random_family(2, 3, RngStream(112))
+        )
+        assert best == 0.0
+        np.testing.assert_array_equal(f, np.ones(5))
 
     def test_relaxation_bounds_bruteforce(self):
         adv = _random_adversary(6, 8, 4, 23)
