@@ -16,7 +16,7 @@ import numpy as np
 
 from .decomposition import rescaling_diagonals, truncate_values, width
 from .game import AdversarySpec, advantage_given_f, check_signs, random_family
-from .numerics import RngStream, check_isometry, operator_norm, parallel_blocks
+from .numerics import RngStream, check_isometry, operator_norm, parallel_blocks, random_sign_array
 
 __all__ = [
     "TailReport",
@@ -47,6 +47,12 @@ class TailReport:
             raise ValueError("threshold/frequency/bound lists must align")
         if any(not (0.0 <= p <= 1.0) for p in self.empirical):
             raise ValueError("frequencies must lie in [0, 1]")
+
+
+def _sample_blocks(fn, samples: int) -> np.ndarray:
+    """fn(b, size) over 16 blocks whose sizes sum to samples, joined in block order."""
+    q, r = divmod(samples, 16)
+    return np.concatenate(parallel_blocks(lambda b: fn(b, q + (b < r)), 16))
 
 
 def _binomial_slack(p_bound: float, samples: int) -> float:
@@ -99,17 +105,13 @@ def rademacher_series_bench(
         if mean_bound == 0.0:
             thresholds = [0.5, 1.0, 1.5]
 
-    def run_block(b):
-        g = rng.child(b).generator()
-        size = samples // 16 + (1 if b < samples % 16 else 0)
-        out = np.empty(size)
-        stacked = np.stack(C)
-        for i in range(size):
-            signs = np.where(g.random(len(C)) < 0.5, 1.0, -1.0)
-            out[i] = operator_norm(np.tensordot(signs, stacked, axes=1))
-        return out
+    stacked = np.stack(C)
 
-    norms = np.concatenate(parallel_blocks(run_block, 16))
+    def run_block(b, size):
+        signs = random_sign_array(rng.child(b).generator(), (size, len(C)))
+        return np.array([operator_norm(np.tensordot(s, stacked, axes=1)) for s in signs])
+
+    norms = _sample_blocks(run_block, samples)
     bounds = [min(1.0, (d1 + d2) * np.exp(-(t**2) / (2.0 * v))) for t in thresholds]
     mean = float(norms.mean())
     se = float(norms.std(ddof=1) / np.sqrt(len(norms)))
@@ -127,26 +129,24 @@ def rademacher_series_bench(
 def truncated_conjugation_sampler(V, Pi, B: float):
     """Sampler of centered truncated conjugated rescaling matrices.
 
-    Draws a random sign function h, forms trunc_B(D_h)^H Pi trunc_B(D_h), and
-    subtracts the exact all-h average (enumerated, so N must stay small).
-    Entries of the truncated diagonal are bounded by B, so each sample is
-    Hermitian with norm at most 2 B^2; returns (sampler, uniform bound 2B^2).
+    Draws a random sign function h, looks trunc_B(D_h) up among the enumerated
+    diagonals, forms trunc_B(D_h)^H Pi trunc_B(D_h), and subtracts the exact
+    all-h average (enumerated, so N must stay small).  Entries of the truncated
+    diagonal are bounded by B, so each sample is Hermitian with norm at most
+    2 B^2; returns (sampler, uniform bound 2B^2).
     """
     Vm = check_isometry(V)
     N = Vm.shape[1]
     if N > 12:
         raise ValueError("exact centering enumerates 2^N sign functions; N <= 12")
-    signs = np.array(
-        [[1.0 - 2.0 * ((i >> x) & 1) for x in range(N)] for i in range(1 << N)]
-    )
+    bit_values = 1 << np.arange(N)  # row i of signs is -1 exactly at the set bits of i
+    signs = 1.0 - 2.0 * ((np.arange(1 << N)[:, None] & bit_values) > 0)
     Dall, _ = rescaling_diagonals(Vm, signs)
     DallB = truncate_values(Dall, B)
     mean = np.einsum("ki,ij,kj->ij", DallB.conj(), Pi, DallB) / signs.shape[0]
 
     def sampler(g: np.random.Generator) -> np.ndarray:
-        h = np.where(g.random(N) < 0.5, 1.0, -1.0)
-        D, _ = rescaling_diagonals(Vm, h[None, :])
-        DB = truncate_values(D[0], B)
+        DB = DallB[int((random_sign_array(g, N) < 0) @ bit_values)]
         return np.conj(DB)[:, None] * Pi * DB[None, :] - mean
 
     return sampler, 2.0 * B * B
@@ -175,9 +175,8 @@ def matrix_hoeffding_bench(
         s = np.sqrt(sigma2)
         thresholds = [0.5 * s, s, 2.0 * s]
 
-    def run_block(b):
+    def run_block(b, size):
         g = rng.child(b + 1).generator()
-        size = samples // 16 + (1 if b < samples % 16 else 0)
         out = np.empty(size)
         for i in range(size):
             acc = np.zeros((D, D), dtype=np.complex128)
@@ -186,7 +185,7 @@ def matrix_hoeffding_bench(
             out[i] = operator_norm(acc)
         return out
 
-    norms = np.concatenate(parallel_blocks(run_block, 16))
+    norms = _sample_blocks(run_block, samples)
     bounds = [
         min(1.0, 2.0 * D * np.exp(-(t**2) / (8.0 * sigma2))) for t in thresholds
     ]
@@ -209,13 +208,10 @@ def complex_hoeffding_bench(
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"squared magnitudes sum to {total}, expected 1")
 
-    def run_block(b):
-        g = rng.child(b).generator()
-        size = samples // 16 + (1 if b < samples % 16 else 0)
-        signs = np.where(g.random((size, a.size)) < 0.5, 1.0, -1.0)
-        return np.abs(signs @ a)
+    def run_block(b, size):
+        return np.abs(random_sign_array(rng.child(b).generator(), (size, a.size)) @ a)
 
-    mags = np.concatenate(parallel_blocks(run_block, 16))
+    mags = _sample_blocks(run_block, samples)
     bounds = [min(1.0, 2.0 * np.exp(-(t**2) / 2.0)) for t in thresholds]
     sq = mags**2
     se = float(sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
@@ -246,16 +242,15 @@ def width_tail_bench(
     Vm = check_isometry(V)
     M, N = Vm.shape
 
-    def run_block(b):
+    def run_block(b, size):
         g_stream = rng.child(b)
-        size = samples // 16 + (1 if b < samples % 16 else 0)
         out = np.empty(size)
         for i in range(size):
             R = random_family(K, N, g_stream.child(i))
             out[i] = width(Vm, R)
         return out
 
-    widths = np.concatenate(parallel_blocks(run_block, 16))
+    widths = _sample_blocks(run_block, samples)
     excess = widths - 1.0
     bounds = [
         min(1.0, 2.0 * M * np.exp(-c_test * min(t * t, t) * K)) for t in thresholds
@@ -289,16 +284,15 @@ def advantage_tail_bench(
             f = np.ones(adv.M)
         fv = check_signs(f)
 
-        def run_block(b):
+        def run_block(b, size):
             g_stream = rng.child(b)
-            size = samples // 16 + (1 if b < samples % 16 else 0)
             out = np.empty(size)
             for i in range(size):
                 R = random_family(K, N, g_stream.child(i))
                 out[i] = advantage_given_f(adv, R, fv)
             return out
 
-        values = np.concatenate(parallel_blocks(run_block, 16))
+        values = _sample_blocks(run_block, samples)
         bounds = [
             min(1.0, 2.0 * np.exp(-c_test * e * e * K * N)) for e in epsilons
         ]
@@ -313,16 +307,15 @@ def advantage_tail_bench(
     if adv.M > 12:
         raise ValueError("max-f mode brute-forces oracle functions; M <= 12")
 
-    def run_block(b):
+    def run_block(b, size):
         g_stream = rng.child(b)
-        size = samples // 16 + (1 if b < samples % 16 else 0)
         out = np.empty(size)
         for i in range(size):
             R = random_family(K, N, g_stream.child(i))
             out[i], _ = max_advantage_bruteforce(adv, R)
         return out
 
-    values = np.concatenate(parallel_blocks(run_block, 16))
+    values = _sample_blocks(run_block, samples)
     excess = values - values.mean()
     bounds = [min(1.0, 4.0 * np.exp(-c_test * e * e * K * N)) for e in epsilons]
     extras = {"mode": mode, "c_test": c_test, "mean_advantage": float(values.mean())}

@@ -170,14 +170,14 @@ def run(config: ExperimentConfig) -> dict:
         R = random_family(p["K"], adv.N, rng.child(1))
         if adv.M <= BRUTEFORCE_CUTOFF and not p.get("localsearch"):
             best, f = max_advantage_bruteforce(adv, R)
-            method = "bruteforce"
+            method, bound = "bruteforce", "exact"
         else:
             best, f = max_advantage_localsearch(
                 adv, R, restarts=p.get("restarts", 20), rng=rng.child(2)
             )
-            method = "localsearch"
+            method, bound = "localsearch", "lower"
         win = simulate_game(adv, R, f, p["trials"], rng.child(3))
-        values = {"max_advantage": best, "method": method, "win_rate": win}
+        values = {"max_advantage": best, "method": method, "bound": bound, "win_rate": win}
     elif config.kind == "attack-hadamard":
         rep = hadamard_attack_report(
             p["n"], p["K"], p.get("draws", 200), p["trials"], rng

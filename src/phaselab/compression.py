@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .game import AdversarySpec
-from .numerics import RngStream, check_isometry
+from .numerics import RngStream, check_isometry, random_sign_array
 
 __all__ = [
     "measurement_operators",
@@ -121,16 +121,11 @@ def verify_one_query_simulation(
     worst = 0.0
     for t in range(trials):
         g = rng.child(t).generator()
-        f1 = np.where(g.random(L) < 0.5, 1.0, -1.0)
-        f2 = np.where(g.random(L) < 0.5, 1.0, -1.0)
-        x = g.standard_normal(D) + 1j * g.standard_normal(D)
-        y = g.standard_normal(D) + 1j * g.standard_normal(D)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        phi_x = np.repeat(f1, S) * (Vm @ x)
-        phi_y = np.repeat(f2, S) * (Vm @ y)
-        chat_x = np.repeat(f1, D) * (W @ x)
-        chat_y = np.repeat(f2, D) * (W @ y)
-        dev = abs(np.vdot(phi_x, phi_y) - np.vdot(chat_x, chat_y))
+        F = random_sign_array(g, (2, L))  # rows f1 and f2
+        xy = g.standard_normal((2, D)) + 1j * g.standard_normal((2, D))
+        xy /= np.linalg.norm(xy, axis=1, keepdims=True)  # rows x and y
+        phi = np.repeat(F, S, axis=1) * (xy @ Vm.T)
+        chat = np.repeat(F, D, axis=1) * (xy @ W.T)
+        dev = abs(np.vdot(phi[0], phi[1]) - np.vdot(chat[0], chat[1]))
         worst = max(worst, float(dev))
     return worst

@@ -76,11 +76,11 @@ def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
     Returns (D, mask) where D is K x M with D[k, i] = <v_i|psi_{R_k}>/sqrt(wt_i)
     (0 at masked indices) and mask marks zero-weight rows of V.
     """
-    Vm = check_isometry(V)
+    w = isometry_weights(V)  # also checks that V is an isometry
+    Vm = np.asarray(V, dtype=np.complex128)
     Rv = check_family(R)
     if Rv.shape[1] != Vm.shape[1]:
         raise ValueError(f"family width {Rv.shape[1]} != N = {Vm.shape[1]}")
-    w = isometry_weights(Vm)
     mask = w <= ZERO_WEIGHT_TOL
     amps = (Vm @ (Rv.T / np.sqrt(Rv.shape[1]))).T  # K x M, <v_i|psi_k>
     scale = np.sqrt(np.where(mask, 1.0, w))
@@ -113,8 +113,7 @@ def truncate_rescaling(D: RescalingMatrix, B: float) -> RescalingMatrix:
 
 def width(V, R) -> float:
     """max over unmasked i of (1/K) sum_k |<v_i|psi_{R_k}>|^2 / wt_i."""
-    Vm = check_isometry(V)
-    D, mask = rescaling_diagonals(Vm, R)
+    D, mask = rescaling_diagonals(V, R)
     col_means = np.mean(np.abs(D) ** 2, axis=0)
     active = ~mask
     if not np.any(active):

@@ -2,13 +2,14 @@
 
 Matrices and states are plain numpy arrays (complex128, row-major).  This
 module supplies the few primitives everything else is built on: operator
-norms, random isometries/projectors, total-variation distance, and a
+norms, random isometries/projectors, total-variation distance, a
 counter-based RNG stream abstraction that makes every experiment
-reproducible independently of thread scheduling.
+reproducible independently of thread scheduling, and the one sign sampler.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
+    "random_sign_array",
     "operator_norm",
     "random_isometry",
     "random_projector",
@@ -66,6 +68,21 @@ class RngStream:
 
     def fingerprint(self) -> str:
         return f"philox:{self.seed}:" + ".".join(str(p) for p in self.path)
+
+
+def random_sign_array(g: np.random.Generator, shape) -> np.ndarray:
+    """Float64 array of independent uniform +-1 signs, one random bit each.
+
+    Bits come from raw 64-bit words of g's bit generator (Philox in every
+    RngStream; not a 32-bit one such as MT19937), read as little-endian bytes
+    so a generator state gives the same signs on any machine; bit 1 is -1.
+    """
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    words = g.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    out = np.unpackbits(words.view(np.uint8), count=n).astype(np.float64)
+    out *= -2.0
+    out += 1.0
+    return out.reshape(shape)
 
 
 def thread_count() -> int:

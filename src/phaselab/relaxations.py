@@ -15,7 +15,7 @@ import numpy as np
 
 from .decomposition import ZERO_WEIGHT_TOL, rescaling_diagonals, truncate_values
 from .game import BRUTEFORCE_CUTOFF, AdversarySpec, check_family, check_signs, max_abs_quadratic
-from .numerics import CapacityError, RngStream, operator_norm
+from .numerics import CapacityError, RngStream, operator_norm, random_sign_array
 
 __all__ = [
     "spectral_relaxation",
@@ -81,21 +81,18 @@ def truncated_spectral_relaxation(
 
     per_batch = max(1, samples // batches)
     sums = []
-    counts = []
     for b in range(batches):
         g = rng.child(b).generator()
-        H = np.where(g.random((per_batch, adv.N)) < 0.5, 1.0, -1.0)
-        Dh, _ = rescaling_diagonals(adv.V, H)
+        Dh, _ = rescaling_diagonals(adv.V, random_sign_array(g, (per_batch, adv.N)))
         DhB = truncate_values(Dh, B)
         sums.append(DhB.conj().T @ DhB)
-        counts.append(per_batch)
     total = sum(sums)
-    n = sum(counts)
+    n = per_batch * batches
     value = operator_norm(family_term - adv.Pi * total / n)
     # Jackknife over batches for the Monte Carlo error on the norm.
     loo = []
     for b in range(batches):
-        rest = (total - sums[b]) / (n - counts[b])
+        rest = (total - sums[b]) / (n - per_batch)
         loo.append(operator_norm(family_term - adv.Pi * rest))
     loo = np.asarray(loo)
     stderr = float(np.sqrt((batches - 1) / batches * np.sum((loo - loo.mean()) ** 2)))

@@ -13,6 +13,7 @@ from phaselab.bench import (
     truncated_conjugation_sampler,
     width_tail_bench,
 )
+from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import AdversarySpec
 from phaselab.numerics import RngStream, operator_norm, random_isometry, random_projector
 
@@ -67,6 +68,23 @@ class TestTruncatedConjugationSampler:
             total += sampler(g)
         np.testing.assert_allclose(total / 16, 0.0, atol=1e-10)
 
+    def test_draws_match_the_direct_formula(self):
+        # Each draw looks its diagonal up in a table; compare with computing it.
+        V = random_isometry(4, 8, RngStream(17))
+        Pi = random_projector(8, 4, RngStream(18))
+        sampler, _ = truncated_conjugation_sampler(V, Pi, B=1.0)
+
+        def direct(h):
+            D, _ = rescaling_diagonals(V, h[None, :])
+            DB = truncate_values(D[0], 1.0)
+            return np.conj(DB)[:, None] * Pi * DB[None, :]
+
+        ones = np.ones(4)
+        for bits in itertools.product((1.0, -1.0), repeat=4):
+            h = np.array(bits)
+            got = sampler(_FixedSignGenerator(h)) - sampler(_FixedSignGenerator(ones))
+            np.testing.assert_allclose(got, direct(h) - direct(ones), atol=1e-12)
+
     def test_norm_bound_respected(self):
         V = random_isometry(4, 8, RngStream(9))
         Pi = random_projector(8, 4, RngStream(10))
@@ -83,9 +101,13 @@ class _FixedSignGenerator:
 
     def __init__(self, signs):
         self._signs = signs
+        self.bit_generator = self
 
-    def random(self, size):
-        return np.where(self._signs > 0, 0.25, 0.75)
+    def random_raw(self, size):
+        # Packed sign bits (1 means -1), read as little-endian 64-bit words.
+        bits = np.zeros(64 * size, dtype=np.uint8)
+        bits[: self._signs.size] = self._signs < 0
+        return np.packbits(bits).view("<u8")
 
 
 class TestMatrixHoeffding:

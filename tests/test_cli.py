@@ -101,6 +101,16 @@ class TestRun:
         )
         assert run(cfg)["values"]["method"] == "bruteforce"
 
+    @pytest.mark.parametrize(
+        "M, method, bound", [(26, "bruteforce", "exact"), (29, "localsearch", "lower")]
+    )
+    def test_game_bound_exact_or_lower(self, M, method, bound):
+        cfg = ExperimentConfig(
+            kind="game", params={"N": 4, "M": M, "K": 2, "rank": M // 2, "trials": 200}, seed=5
+        )
+        values = run(cfg)["values"]
+        assert (values["method"], values["bound"]) == (method, bound)
+
     def test_records_append(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cfg = ExperimentConfig(

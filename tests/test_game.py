@@ -228,6 +228,21 @@ class TestSimulateGame:
             adv, R, f, 5000, RngStream(72)
         )
 
+    def test_accept_always_and_never_split_the_challenge_bits(self):
+        # Pi = I accepts every state, so it wins exactly the b = 0 trials;
+        # Pi = 0 never accepts and wins exactly the b = 1 trials of the same stream.
+        V = random_isometry(8, 8, RngStream(74))
+        R = random_family(4, 8, RngStream(75))
+        f = random_signs(8, RngStream(76))
+        trials = 40_000
+        wins = [
+            simulate_game(AdversarySpec(V=V, Pi=Pi), R, f, trials, RngStream(77)) * trials
+            for Pi in (np.eye(8), np.zeros((8, 8)))
+        ]
+        assert wins[0] + wins[1] == pytest.approx(trials, abs=1e-6)
+        for w in wins:
+            assert abs(w / trials - 0.5) <= 5 * 0.5 / np.sqrt(trials)
+
     def test_rejects_bad_trials(self):
         adv = _random_adversary(4, 6, 3, 73)
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from phaselab.numerics import (
     parallel_blocks,
     random_isometry,
     random_projector,
+    random_sign_array,
     thread_count,
     tv_distance,
 )
@@ -39,6 +40,29 @@ class TestRngStream:
 
     def test_fingerprint_mentions_seed(self):
         assert "7" in RngStream(7).fingerprint()
+
+
+class TestRandomSignArray:
+    @pytest.mark.parametrize("shape", [8, 13, (3, 5), (0, 4)])
+    def test_float64_signs_of_the_requested_shape(self, shape):
+        a = random_sign_array(RngStream(1).generator(), shape)
+        assert a.dtype == np.float64
+        assert a.shape == (shape if isinstance(shape, tuple) else (shape,))
+        assert np.all(np.abs(a) == 1.0)
+
+    def test_same_generator_state_same_signs(self):
+        a = random_sign_array(RngStream(2).generator(), (3, 5))
+        b = random_sign_array(RngStream(2).generator(), (3, 5))
+        np.testing.assert_array_equal(a, b)
+        # A shorter draw from the same state is a prefix of a longer one.
+        c = random_sign_array(RngStream(2).generator(), 64)
+        np.testing.assert_array_equal(a.ravel(), c[:15])
+
+    def test_mean_and_lag_one_correlation_vanish(self):
+        n = 100_000
+        a = random_sign_array(RngStream(3).generator(), n)
+        assert abs(a.mean()) <= 5.0 / np.sqrt(n)
+        assert abs(np.mean(a[1:] * a[:-1])) <= 5.0 / np.sqrt(n - 1)
 
 
 class TestParallelBlocks:
