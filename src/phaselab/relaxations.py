@@ -69,8 +69,10 @@ def truncated_spectral_relaxation(
     """Spectral relaxation with diagonals clipped at magnitude B.
 
     Truncation destroys the closed form of the all-h term, so it is estimated
-    over `samples` random sign functions.  Returns (value, standard error),
-    the latter from a jackknife over `batches` sample batches.
+    over `samples` random sign functions.  Returns (value, standard error).
+    The error is the spread of a jackknife over `batches` sample batches: it
+    does not bound the distance from the value to the norm with the exact
+    all-h term, and on large instances it can be several times smaller.
     """
     if rng is None:
         rng = RngStream(0)

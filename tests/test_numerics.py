@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab.numerics import (
+    NORM_MAX_DIM,
     CapacityError,
     RngStream,
     check_isometry,
@@ -82,11 +83,103 @@ class TestOperatorNorm:
         a = g.standard_normal((20, 20)) + 1j * g.standard_normal((20, 20))
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
-    def test_large_matrix_power_iteration_agrees_with_dense(self):
+    def test_near_degenerate_top_pair_is_exact(self):
+        # Top eigenvalues 1 and 1 - 1e-4: power iteration, which this
+        # function once used above dimension 512, read 1.1e-5 low here.
         g = RngStream(2).generator()
-        a = g.standard_normal((600, 600))
-        a = a + a.T  # Hermitian: power iteration converges cleanly
-        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+        z = g.standard_normal((600, 600)) + 1j * g.standard_normal((600, 600))
+        q, _ = np.linalg.qr(z)
+        lam = np.concatenate([[1.0, 1.0 - 1e-4], g.uniform(-0.9, 0.9, 598)])
+        a = (q * lam) @ q.conj().T
+        a = (a + a.conj().T) / 2
+        assert operator_norm(a) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, hermitian",
+        [((600, 600), True), ((600, 600), False), ((700, 300), False), ((300, 700), False)],
+    )
+    def test_matches_dense_two_norm(self, shape, hermitian):
+        g = RngStream(4).generator()
+        a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        if hermitian:
+            a = a + a.conj().T
+        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+    def test_zero_and_one_by_one(self):
+        assert operator_norm(np.zeros((5, 5))) == 0.0
+        assert operator_norm(np.zeros((3, 7))) == 0.0
+        assert operator_norm([[-3.0]]) == 3.0
+        assert operator_norm([[3.0 + 4.0j]]) == pytest.approx(5.0, rel=1e-12)
+
+    @staticmethod
+    def _eigvalsh_inputs(monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(x, *args, **kwargs):
+            seen.append(x)
+            return eigvalsh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return seen
+
+    def test_hermitian_input_is_solved_directly(self, monkeypatch):
+        g = RngStream(5).generator()
+        a = g.standard_normal((40, 40)) + 1j * g.standard_normal((40, 40))
+        a = a + a.conj().T
+        seen = self._eigvalsh_inputs(monkeypatch)
+        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+        assert len(seen) == 1 and seen[0] is a
+
+    def test_perturbed_hermitian_takes_gram_route(self, monkeypatch):
+        g = RngStream(5).generator()
+        a = g.standard_normal((600, 600)) + 1j * g.standard_normal((600, 600))
+        a = a + a.conj().T
+        a[3, 5] += 1e-14
+        seen = self._eigvalsh_inputs(monkeypatch)
+        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+        assert len(seen) == 1 and seen[0] is not a and seen[0].shape == a.shape
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9)])
+    def test_gram_route_uses_the_smaller_gram_matrix(self, shape, monkeypatch):
+        a = RngStream(6).generator().standard_normal(shape) + 0j
+        seen = self._eigvalsh_inputs(monkeypatch)
+        operator_norm(a)
+        assert seen[0].shape == (4, 4)
+
+    def test_dimension_budget(self):
+        # A read-only broadcast view: the check must come before any copy.
+        huge = np.broadcast_to(np.float64(1.0), (NORM_MAX_DIM + 1, NORM_MAX_DIM + 1))
+        with pytest.raises(CapacityError, match="4096"):
+            operator_norm(huge)
+        assert operator_norm(np.ones((NORM_MAX_DIM, 1))) == pytest.approx(64.0, rel=1e-12)
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=9),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_between_bilinear_forms_and_frobenius(self, rows, cols, hermitian, seed):
+        # Independent of any eigensolve: |u^H A v| <= ||A||_op for unit u, v
+        # (and the largest column norm is such a form), ||A||_op <= ||A||_F.
+        g = RngStream(seed).generator()
+        if hermitian:
+            cols = rows
+        a = g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
+        if hermitian:
+            a = a + a.conj().T
+        norm = operator_norm(a)
+        tol = 1e-12 * max(1.0, norm)
+        assert norm <= np.linalg.norm(a, "fro") + tol
+        assert np.max(np.linalg.norm(a, axis=0)) <= norm + tol
+        for _ in range(8):
+            u = g.standard_normal(rows) + 1j * g.standard_normal(rows)
+            v = g.standard_normal(cols) + 1j * g.standard_normal(cols)
+            u /= np.linalg.norm(u)
+            v /= np.linalg.norm(v)
+            assert abs(u.conj() @ a @ v) <= norm + tol
 
     def test_rectangular(self):
         g = RngStream(3).generator()
