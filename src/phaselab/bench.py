@@ -15,8 +15,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import rescaling_diagonals, truncate_values, width
-from .game import AdversarySpec, advantage_given_f, check_signs, random_family
-from .numerics import RngStream, check_isometry, operator_norm, parallel_blocks, random_sign_array
+from .game import (
+    AdversarySpec,
+    advantage_given_f,
+    check_signs,
+    max_advantage_bruteforce,
+    random_family,
+)
+from .numerics import (
+    RngStream,
+    check_isometry,
+    operator_norm,
+    parallel_blocks,
+    random_isometry,
+    random_projector,
+    random_sign_array,
+)
 
 __all__ = [
     "TailReport",
@@ -27,6 +41,7 @@ __all__ = [
     "width_tail_bench",
     "advantage_tail_bench",
     "default_suite",
+    "BENCHES",
 ]
 
 
@@ -49,12 +64,6 @@ class TailReport:
             raise ValueError("frequencies must lie in [0, 1]")
 
 
-def _sample_blocks(fn, samples: int) -> np.ndarray:
-    """fn(b, size) over 16 blocks whose sizes sum to samples, joined in block order."""
-    q, r = divmod(samples, 16)
-    return np.concatenate(parallel_blocks(lambda b: fn(b, q + (b < r)), 16))
-
-
 def _binomial_slack(p_bound: float, samples: int) -> float:
     p = min(max(p_bound, 0.0), 1.0)
     return 3.0 * np.sqrt(p * (1.0 - p) / samples) if samples > 0 else 0.0
@@ -66,8 +75,7 @@ def _tail_report(name, values, thresholds, bounds, samples, extras=None) -> Tail
         f <= b + _binomial_slack(min(b, 1.0), samples) + 1e-12
         for f, b in zip(freqs, bounds)
     )
-    if extras:
-        ok = ok and all(extras.get(k, True) is not False for k in ("mean_ok",))
+    ok = ok and bool((extras or {}).get("mean_ok", True))
     return TailReport(
         bound_name=name,
         thresholds=tuple(float(t) for t in thresholds),
@@ -111,7 +119,7 @@ def rademacher_series_bench(
         signs = random_sign_array(rng.child(b).generator(), (size, len(C)))
         return np.array([operator_norm(np.tensordot(s, stacked, axes=1)) for s in signs])
 
-    norms = _sample_blocks(run_block, samples)
+    norms = np.concatenate(parallel_blocks(run_block, samples))
     bounds = [min(1.0, (d1 + d2) * np.exp(-(t**2) / (2.0 * v))) for t in thresholds]
     mean = float(norms.mean())
     se = float(norms.std(ddof=1) / np.sqrt(len(norms)))
@@ -185,7 +193,7 @@ def matrix_hoeffding_bench(
             out[i] = operator_norm(acc)
         return out
 
-    norms = _sample_blocks(run_block, samples)
+    norms = np.concatenate(parallel_blocks(run_block, samples))
     bounds = [
         min(1.0, 2.0 * D * np.exp(-(t**2) / (8.0 * sigma2))) for t in thresholds
     ]
@@ -211,7 +219,7 @@ def complex_hoeffding_bench(
     def run_block(b, size):
         return np.abs(random_sign_array(rng.child(b).generator(), (size, a.size)) @ a)
 
-    mags = _sample_blocks(run_block, samples)
+    mags = np.concatenate(parallel_blocks(run_block, samples))
     bounds = [min(1.0, 2.0 * np.exp(-(t**2) / 2.0)) for t in thresholds]
     sq = mags**2
     se = float(sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
@@ -223,6 +231,16 @@ def complex_hoeffding_bench(
     return _tail_report(
         "complex-hoeffding", mags, thresholds, bounds, len(mags), extras
     )
+
+
+def _over_families(value, K: int, N: int, samples: int, rng: RngStream) -> np.ndarray:
+    """value(R) over `samples` fresh K x N families, one generator per block."""
+
+    def run_block(b, size):
+        families = random_family(size * K, N, rng.child(b)).reshape(size, K, N)
+        return np.array([value(R) for R in families])
+
+    return np.concatenate(parallel_blocks(run_block, samples))
 
 
 def width_tail_bench(
@@ -241,16 +259,7 @@ def width_tail_bench(
     """
     Vm = check_isometry(V)
     M, N = Vm.shape
-
-    def run_block(b, size):
-        g_stream = rng.child(b)
-        out = np.empty(size)
-        for i in range(size):
-            R = random_family(K, N, g_stream.child(i))
-            out[i] = width(Vm, R)
-        return out
-
-    widths = _sample_blocks(run_block, samples)
+    widths = _over_families(lambda R: width(Vm, R), K, N, samples, rng)
     excess = widths - 1.0
     bounds = [
         min(1.0, 2.0 * M * np.exp(-c_test * min(t * t, t) * K)) for t in thresholds
@@ -276,83 +285,78 @@ def advantage_tail_bench(
     fixed-f mode measures Pr[gap(R | f) >= eps] against 2 exp(-c eps^2 K N)
     (no-query regime: f is pinned in advance).  max-f mode brute-forces the
     maximum over oracle functions (M <= 12) and measures the tail of the
-    excess over the sample mean.  c_test replaces the existential constant.
+    excess over the sample mean against 4 exp(-c eps^2 K N).  c_test replaces
+    the existential constant.
     """
     N = adv.N
     if mode == "fixed-f":
-        if f is None:
-            f = np.ones(adv.M)
-        fv = check_signs(f)
-
-        def run_block(b, size):
-            g_stream = rng.child(b)
-            out = np.empty(size)
-            for i in range(size):
-                R = random_family(K, N, g_stream.child(i))
-                out[i] = advantage_given_f(adv, R, fv)
-            return out
-
-        values = _sample_blocks(run_block, samples)
-        bounds = [
-            min(1.0, 2.0 * np.exp(-c_test * e * e * K * N)) for e in epsilons
-        ]
-        extras = {"mode": mode, "c_test": c_test, "mean_advantage": float(values.mean())}
-        return _tail_report(
-            "advantage-tail-fixed-f", values, epsilons, bounds, len(values), extras
-        )
-    if mode != "max-f":
+        fv = check_signs(np.ones(adv.M) if f is None else f)
+        value, scale = (lambda R: advantage_given_f(adv, R, fv)), 2.0
+    elif mode == "max-f":
+        if adv.M > 12:
+            raise ValueError("max-f mode brute-forces oracle functions; M <= 12")
+        value, scale = (lambda R: max_advantage_bruteforce(adv, R)[0]), 4.0
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    from .game import max_advantage_bruteforce
 
-    if adv.M > 12:
-        raise ValueError("max-f mode brute-forces oracle functions; M <= 12")
-
-    def run_block(b, size):
-        g_stream = rng.child(b)
-        out = np.empty(size)
-        for i in range(size):
-            R = random_family(K, N, g_stream.child(i))
-            out[i], _ = max_advantage_bruteforce(adv, R)
-        return out
-
-    values = _sample_blocks(run_block, samples)
-    excess = values - values.mean()
-    bounds = [min(1.0, 4.0 * np.exp(-c_test * e * e * K * N)) for e in epsilons]
+    values = _over_families(value, K, N, samples, rng)
+    tail = values if mode == "fixed-f" else values - values.mean()
+    bounds = [min(1.0, scale * np.exp(-c_test * e * e * K * N)) for e in epsilons]
     extras = {"mode": mode, "c_test": c_test, "mean_advantage": float(values.mean())}
     return _tail_report(
-        "advantage-tail-max-f", excess, epsilons, bounds, len(values), extras
+        f"advantage-tail-{mode}", tail, epsilons, bounds, len(values), extras
     )
 
 
-def default_suite(seed: int = 2026, samples: int = 500) -> list[TailReport]:
-    """The standard bench battery: one report per concentration tool."""
-    from .numerics import random_isometry, random_projector
-
-    rng = RngStream(seed)
+def _rademacher(rng: RngStream, samples: int) -> list[TailReport]:
     g = rng.child(1000).generator()
     coeffs = [
         g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6)) for _ in range(8)
     ]
-    reports = [rademacher_series_bench(coeffs, samples, rng.child(0))]
+    return [rademacher_series_bench(coeffs, samples, rng.child(0))]
 
+
+def _hoeffding(rng: RngStream, samples: int) -> list[TailReport]:
     V = random_isometry(8, 16, rng.child(1001))
     Pi = random_projector(16, 8, rng.child(1002))
     sampler, bound = truncated_conjugation_sampler(V, Pi, B=2.0)
-    reports.append(matrix_hoeffding_bench(sampler, bound, K=8, samples=samples, rng=rng.child(1)))
+    return [matrix_hoeffding_bench(sampler, bound, K=8, samples=samples, rng=rng.child(1))]
 
+
+def _complex(rng: RngStream, samples: int) -> list[TailReport]:
     weights = np.full(64, 1.0 / 8.0)
-    reports.append(complex_hoeffding_bench(weights, max(samples, 2000), rng.child(2)))
+    return [complex_hoeffding_bench(weights, max(samples, 2000), rng.child(2))]
 
-    Vw = random_isometry(16, 48, rng.child(1003))
-    reports.append(width_tail_bench(Vw, K=16, samples=samples, rng=rng.child(3)))
 
-    Va = random_isometry(8, 10, rng.child(1004))
-    Pa = random_projector(10, 5, rng.child(1005))
-    adv = AdversarySpec(V=Va, Pi=Pa)
-    reports.append(
-        advantage_tail_bench(adv, K=16, samples=samples, rng=rng.child(4), mode="fixed-f")
+def _width(rng: RngStream, samples: int) -> list[TailReport]:
+    V = random_isometry(16, 48, rng.child(1003))
+    return [width_tail_bench(V, K=16, samples=samples, rng=rng.child(3))]
+
+
+def _advantage(rng: RngStream, samples: int) -> list[TailReport]:
+    adv = AdversarySpec(
+        V=random_isometry(8, 10, rng.child(1004)),
+        Pi=random_projector(10, 5, rng.child(1005)),
     )
-    reports.append(
-        advantage_tail_bench(adv, K=16, samples=samples, rng=rng.child(5), mode="max-f")
-    )
-    return reports
+    return [
+        advantage_tail_bench(adv, K=16, samples=samples, rng=rng.child(4), mode="fixed-f"),
+        advantage_tail_bench(adv, K=16, samples=samples, rng=rng.child(5), mode="max-f"),
+    ]
+
+
+# Bench name -> (root stream, samples) -> reports.  Each entry reads its own
+# fixed children of the root stream, so a named bench run on its own gives the
+# same reports as inside default_suite at the same seed and sample count.
+BENCHES = {
+    "rademacher": _rademacher,
+    "hoeffding": _hoeffding,
+    "complex": _complex,
+    "width": _width,
+    "advantage": _advantage,
+}
+
+
+def default_suite(seed: int = 2026, samples: int = 500) -> list[TailReport]:
+    """The standard bench battery: every entry of BENCHES on one root stream."""
+    rng = RngStream(seed)
+    return [rep for bench in BENCHES.values() for rep in bench(rng, samples)]

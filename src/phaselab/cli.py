@@ -20,15 +20,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import hadamard_attack_report
-from .bench import (
-    advantage_tail_bench,
-    complex_hoeffding_bench,
-    default_suite,
-    rademacher_series_bench,
-    truncated_conjugation_sampler,
-    matrix_hoeffding_bench,
-    width_tail_bench,
-)
+from .bench import BENCHES, default_suite, width_tail_bench
 from .compression import verify_one_query_simulation
 from .game import (
     AdversarySpec,
@@ -211,30 +203,8 @@ def run(config: ExperimentConfig) -> dict:
         samples = p.get("samples", 500)
         if name == "all":
             reports = default_suite(seed=config.seed, samples=samples)
-        elif name == "rademacher":
-            g = rng.child(100).generator()
-            coeffs = [
-                g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
-                for _ in range(8)
-            ]
-            reports = [rademacher_series_bench(coeffs, samples, rng.child(0))]
-        elif name == "hoeffding":
-            V = random_isometry(8, 16, rng.child(100))
-            Pi = random_projector(16, 8, rng.child(101))
-            sampler, bound = truncated_conjugation_sampler(V, Pi, B=2.0)
-            reports = [
-                matrix_hoeffding_bench(sampler, bound, 8, samples, rng.child(0))
-            ]
-        elif name == "complex":
-            reports = [
-                complex_hoeffding_bench(np.full(64, 0.125), samples, rng.child(0))
-            ]
-        elif name == "width":
-            V = random_isometry(16, 48, rng.child(100))
-            reports = [width_tail_bench(V, 16, samples, rng.child(0))]
-        elif name == "advantage":
-            adv = _random_adversary(8, 10, 5, rng.child(100))
-            reports = [advantage_tail_bench(adv, 16, samples, rng.child(0))]
+        elif name in BENCHES:
+            reports = BENCHES[name](rng, samples)
         else:
             raise ValueError(f"unknown bench name {name!r}")
         values = {
@@ -244,8 +214,8 @@ def run(config: ExperimentConfig) -> dict:
     elif config.kind == "conjecture":
         N, P, L, K = p["N"], p.get("P", 2), p["L"], p["K"]
         dim = N * P
-        if dim % L != 0:
-            raise ValueError(f"projector count {L} must divide dimension {dim}")
+        if L < 1 or dim % L != 0:
+            raise ValueError(f"projector count {L} must be a positive divisor of dimension {dim}")
         U = random_isometry(dim, dim, rng.child(0))
         block = dim // L
         projectors = [
@@ -267,10 +237,7 @@ def run(config: ExperimentConfig) -> dict:
         values = {"value": val, "witness": list(witness)}
     elif config.kind == "compression-verify":
         D, L, S = p["D"], p["L"], p["S"]
-        adv = AdversarySpec(
-            V=random_isometry(D, L * S, rng.child(0)),
-            Pi=random_projector(L * S, p.get("rank", (L * S) // 2), rng.child(1)),
-        )
+        adv = _random_adversary(D, L * S, p.get("rank", (L * S) // 2), rng)
         dev = verify_one_query_simulation(adv, L, p.get("trials", 50), rng.child(2))
         values = {"max_deviation": dev, "passed": dev <= 1e-8}
     else:
@@ -340,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument(
         "--name",
-        choices=["all", "rademacher", "hoeffding", "complex", "width", "advantage"],
+        choices=["all", *BENCHES],
         default="all",
     )
     sp.add_argument("--samples", type=int, default=500)

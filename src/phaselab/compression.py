@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .game import AdversarySpec
-from .numerics import RngStream, check_isometry, random_sign_array
+from .numerics import RngStream, check_isometry, parallel_blocks, random_sign_array
 
 __all__ = [
     "measurement_operators",
@@ -112,20 +112,26 @@ def verify_one_query_simulation(
     deviation certifies that every one-query measurement statistic survives
     compression.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     Vm = adv.V
     M, D = Vm.shape
     if M % L != 0:
         raise ValueError(f"total dimension {M} does not factor through L = {L}")
     S = M // L
     W = compress_isometry(Vm, L, S)
-    worst = 0.0
-    for t in range(trials):
-        g = rng.child(t).generator()
-        F = random_sign_array(g, (2, L))  # rows f1 and f2
-        xy = g.standard_normal((2, D)) + 1j * g.standard_normal((2, D))
-        xy /= np.linalg.norm(xy, axis=1, keepdims=True)  # rows x and y
-        phi = np.repeat(F, S, axis=1) * (xy @ Vm.T)
-        chat = np.repeat(F, D, axis=1) * (xy @ W.T)
-        dev = abs(np.vdot(phi[0], phi[1]) - np.vdot(chat[0], chat[1]))
-        worst = max(worst, float(dev))
-    return worst
+
+    def run_block(b, size):
+        g = rng.child(b).generator()
+        F = random_sign_array(g, (size, 2, L))  # per trial, rows f1 and f2
+        xy = g.standard_normal((size, 2, D)) + 1j * g.standard_normal((size, 2, D))
+        xy /= np.linalg.norm(xy, axis=2, keepdims=True)  # per trial, rows x and y
+        phi = np.repeat(F, S, axis=2) * (xy @ Vm.T)
+        chat = np.repeat(F, D, axis=2) * (xy @ W.T)
+        dev = np.abs(
+            np.sum(phi[:, 0].conj() * phi[:, 1], axis=1)
+            - np.sum(chat[:, 0].conj() * chat[:, 1], axis=1)
+        )
+        return float(dev.max())
+
+    return max(parallel_blocks(run_block, trials))

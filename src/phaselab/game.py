@@ -56,6 +56,7 @@ __all__ = [
 
 BRUTEFORCE_CUTOFF = 28
 _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran slower
+_TRIAL_BLOCK = 8192  # simulate_game trials per block, each with its own stream
 
 
 def check_signs(values) -> np.ndarray:
@@ -285,9 +286,7 @@ def max_advantage_localsearch(
     return best_val, best_f
 
 
-def simulate_game(
-    adv: AdversarySpec, R, f, trials: int, rng: RngStream, block: int = 8192
-) -> float:
+def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> float:
     """Monte Carlo play of the distinguishing game; returns the win frequency.
 
     Each trial: the challenger flips b; on b = 0 it sends |psi_{R_k}> for a
@@ -311,8 +310,7 @@ def simulate_game(
     Q = np.ascontiguousarray(np.real(A.conj().T @ (adv.Pi @ A)))
     p_rows = np.sum((Rv @ Q) * Rv, axis=1) / N
 
-    def run_block(b: int) -> int:
-        size = min(block, trials - b * block)
+    def run_block(b: int, size: int) -> int:
         g = rng.child(b).generator()
         ones = g.integers(0, 2, size=size) == 1
         ks = g.integers(0, Rv.shape[0], size=size)
@@ -323,5 +321,5 @@ def simulate_game(
         # The adversary answers 1 (b = 1) exactly when it does not accept.
         return int(np.sum((u >= p) == ones))
 
-    wins = sum(parallel_blocks(run_block, -(-trials // block)))
+    wins = sum(parallel_blocks(run_block, trials, _TRIAL_BLOCK))
     return wins / trials

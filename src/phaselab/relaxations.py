@@ -15,7 +15,7 @@ import numpy as np
 
 from .decomposition import ZERO_WEIGHT_TOL, rescaling_diagonals, truncate_values
 from .game import BRUTEFORCE_CUTOFF, AdversarySpec, check_family, check_signs, max_abs_quadratic
-from .numerics import CapacityError, RngStream, operator_norm, random_sign_array
+from .numerics import CapacityError, RngStream, operator_norm, parallel_blocks, random_sign_array
 
 __all__ = [
     "spectral_relaxation",
@@ -74,6 +74,8 @@ def truncated_spectral_relaxation(
     does not bound the distance from the value to the norm with the exact
     all-h term, and on large instances it can be several times smaller.
     """
+    if samples < batches:
+        raise ValueError(f"need at least {batches} samples, one per batch; got {samples}")
     if rng is None:
         rng = RngStream(0)
     Rv = check_family(R)
@@ -81,15 +83,17 @@ def truncated_spectral_relaxation(
     DB = truncate_values(D, B)
     family_term = adv.Pi * (DB.conj().T @ DB) / Rv.shape[0]
 
-    per_batch = max(1, samples // batches)
-    sums = []
-    for b in range(batches):
-        g = rng.child(b).generator()
-        Dh, _ = rescaling_diagonals(adv.V, random_sign_array(g, (per_batch, adv.N)))
-        DhB = truncate_values(Dh, B)
-        sums.append(DhB.conj().T @ DhB)
-    total = sum(sums)
+    per_batch = samples // batches
     n = per_batch * batches
+
+    def run_batch(b, size):
+        g = rng.child(b).generator()
+        Dh, _ = rescaling_diagonals(adv.V, random_sign_array(g, (size, adv.N)))
+        DhB = truncate_values(Dh, B)
+        return DhB.conj().T @ DhB
+
+    sums = parallel_blocks(run_batch, n, per_batch)
+    total = sum(sums)
     value = operator_norm(family_term - adv.Pi * total / n)
     # Jackknife over batches for the Monte Carlo error on the norm.
     loo = []
@@ -157,6 +161,8 @@ def _subset_value_terms(projectors, states) -> list[np.ndarray]:
     sum over the chosen subset.
     """
     states = [np.asarray(s, dtype=np.complex128).ravel() for s in states]
+    if not states or len(projectors) == 0:
+        raise ValueError("need at least one state and one projector")
     N = states[0].size
     if any(s.size != N for s in states):
         raise ValueError("states must share one dimension")

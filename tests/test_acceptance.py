@@ -243,9 +243,21 @@ R = pl.random_family(4, 8, rng.child(2))
 f = pl.random_signs(12, rng.child(3))
 win = pl.simulate_game(adv, R, f, 50_000, rng.child(4))
 reports = pl.default_suite(seed=3, samples=160)
+dev = pl.verify_one_query_simulation(
+    pl.AdversarySpec(
+        V=pl.random_isometry(4, 32, rng.child(5)),
+        Pi=pl.random_projector(32, 16, rng.child(6)),
+    ),
+    8, 200, rng.child(7),
+)
+attack = pl.hadamard_attack_report(4, 4, 150, 2000, rng.child(8))
+width = pl.width_tail_bench(pl.random_isometry(8, 24, rng.child(9)), 8, 150, rng.child(10))
 print(json.dumps({
     "win": repr(win),
     "empirical": [list(map(repr, r.empirical)) for r in reports],
+    "deviation": repr(dev),
+    "attack": repr(attack),
+    "width": repr(width),
     "threads": pl.thread_count(),
 }))
 """
@@ -267,4 +279,5 @@ class TestThreadDeterminism:
         assert outputs[0]["threads"] == 1
         assert outputs[1]["threads"] == 8
         assert outputs[0]["win"] == outputs[1]["win"]
-        assert outputs[0]["empirical"] == outputs[1]["empirical"]
+        for key in ("empirical", "deviation", "attack", "width"):
+            assert outputs[0][key] == outputs[1][key]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from phaselab.cli import ExperimentConfig, load_instance, main, run, save_instance
+from phaselab.bench import BENCHES
+from phaselab.cli import ExperimentConfig, _build_parser, load_instance, main, run, save_instance
 from phaselab.game import AdversarySpec, random_family
 from phaselab.numerics import RngStream, random_isometry, random_projector
 
@@ -156,6 +157,23 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["values"]["all_passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--draws", "0"],
+            ["compress", "--trials", "0"],
+            ["conjecture", "--K", "0"],
+            ["conjecture", "--L", "0"],
+            ["relax", "--B", "1", "--samples", "0"],
+        ],
+    )
+    def test_empty_runs_are_invalid_input(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid input:")
+        assert captured.out == ""
+
     def test_conjecture_and_compress(self, capsys):
         assert main(["conjecture", "--seed", "3"]) == 0
         assert main(["compress", "--seed", "4"]) == 0
@@ -190,3 +208,30 @@ class TestMain:
             == 0
         )
         assert out.exists()
+
+
+def _bench_reports(name, seed=4, samples=120):
+    cfg = ExperimentConfig(kind="bench", params={"name": name, "samples": samples}, seed=seed)
+    return run(cfg)["values"]["reports"]
+
+
+class TestBenchRegistry:
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return _bench_reports("all")
+
+    @pytest.mark.parametrize("name", list(BENCHES))
+    def test_named_bench_reproduces_its_suite_entries(self, name, suite):
+        reports = _bench_reports(name)
+        assert reports
+        names = {r["bound"] for r in reports}
+        assert reports == [r for r in suite if r["bound"] in names]
+
+    def test_advantage_prints_both_tails(self):
+        names = [r["bound"] for r in _bench_reports("advantage")]
+        assert names == ["advantage-tail-fixed-f", "advantage-tail-max-f"]
+
+    def test_name_choices_come_from_the_registry(self):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        name = next(a for a in sub.choices["bench"]._actions if a.dest == "name")
+        assert name.choices == ["all", *BENCHES]

@@ -1,4 +1,4 @@
-"""Smoke test: the demos that call the exact maximizers run to completion."""
+"""Smoke test: the demos that call the exact maximizers or draw blocked streams run to completion."""
 
 import os
 import subprocess
@@ -11,7 +11,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script", ["01_game_basics.py", "04_relaxations.py", "07_omniscient_and_limits.py"]
+    "script",
+    [
+        "01_game_basics.py",
+        "02_hadamard_attack.py",
+        "04_relaxations.py",
+        "05_compression.py",
+        "06_concentration.py",
+        "07_omniscient_and_limits.py",
+    ],
 )
 def test_demo_exits_zero(script):
     env = dict(os.environ)

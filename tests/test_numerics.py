@@ -68,7 +68,17 @@ class TestRandomSignArray:
 
 class TestParallelBlocks:
     def test_results_are_ordered(self):
-        assert parallel_blocks(lambda b: b * b, 17) == [b * b for b in range(17)]
+        assert parallel_blocks(lambda b, size: b * b, 17, 1) == [b * b for b in range(17)]
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_last_block_is_shorter(self, threads, monkeypatch):
+        monkeypatch.setenv("PHASELAB_THREADS", threads)
+        got = parallel_blocks(lambda b, size: (b, size), 10, 4)
+        assert got == [(0, 4), (1, 4), (2, 2)]
+        assert parallel_blocks(lambda b, size: size, 12, 4) == [4, 4, 4]
+
+    def test_no_items_no_blocks(self):
+        assert parallel_blocks(lambda b, size: size, 0) == []
 
     def test_thread_count_positive(self):
         assert thread_count() >= 1
