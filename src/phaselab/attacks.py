@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import AdversarySpec, check_family, phase_state, random_family, simulate_game
-from .numerics import CapacityError, RngStream, check_unit_vector, parallel_blocks, tv_distance
+from .numerics import CapacityError, RngStream, check_unit_vector, tv_distance
 
 __all__ = [
     "HadamardAttackReport",
@@ -118,25 +118,23 @@ def hadamard_attack_report(
     """Aggregate Hadamard-attack statistics over fresh random families.
 
     Reports the mean exact (TV) advantage over `draws` families of shape
-    K x 2^n, a Monte Carlo game cross-check on one more fresh family, and the
-    sample mean/variance of the X statistic across the draws.  The draws come
-    a block at a time from the children of rng.child(0), the game's family
-    and trials from rng.child(1) and rng.child(2).
+    K x 2^n, a Monte Carlo game cross-check on the first family, and the
+    sample mean/variance of the X statistic across the draws.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     N = 1 << n
-
-    def run_block(b, size):
-        Rs = random_family(size * K, N, rng.child(0).child(b)).reshape(size, K, N)
-        return np.array([(hadamard_attack_exact_advantage(R), x_statistic(R)) for R in Rs])
-
-    exacts, xs = np.concatenate(parallel_blocks(run_block, draws)).T
+    exacts = np.empty(draws)
+    xs = np.empty(draws)
     mc = 0.0
-    if trials > 0:
-        R = random_family(K, N, rng.child(1))
-        adv, f = hadamard_game_encoding(R)
-        mc = 2.0 * simulate_game(adv, R, f, trials, rng.child(2)) - 1.0
+    for d in range(draws):
+        R = random_family(K, N, rng.child(d))
+        exacts[d] = hadamard_attack_exact_advantage(R)
+        xs[d] = x_statistic(R)
+        if d == 0 and trials > 0:
+            adv, f = hadamard_game_encoding(R)
+            win = simulate_game(adv, R, f, trials, rng.child(draws))
+            mc = 2.0 * win - 1.0
     return HadamardAttackReport(
         exact_advantage=float(exacts.mean()),
         monte_carlo_advantage=mc,

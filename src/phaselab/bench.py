@@ -75,7 +75,8 @@ def _tail_report(name, values, thresholds, bounds, samples, extras=None) -> Tail
         f <= b + _binomial_slack(min(b, 1.0), samples) + 1e-12
         for f, b in zip(freqs, bounds)
     )
-    ok = ok and bool((extras or {}).get("mean_ok", True))
+    if extras:
+        ok = ok and all(extras.get(k, True) is not False for k in ("mean_ok",))
     return TailReport(
         bound_name=name,
         thresholds=tuple(float(t) for t in thresholds),

@@ -44,7 +44,7 @@ DERIVED_TOL = 1e-8
 # larger matrix is refused with CapacityError rather than run for minutes.
 NORM_MAX_DIM = 4096
 
-# Default parallel_blocks size: the samples, trials or draws of the bench and
+# Default parallel_blocks size: the samples or trials of the bench and
 # trial loops that share one generator.  Larger blocks cost memory and no time:
 # 3000 compression trials at D = L = S = 16 (one BLAS thread, 2-CPU machine)
 # took 0.07 s and 0.6 MiB of extra peak RSS at 64, 0.10 s and 4.6 MiB at 256.
