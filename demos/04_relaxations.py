@@ -4,8 +4,10 @@ Replacing the oracle-rotated weight vector by an arbitrary unit vector turns
 the maximum over oracle functions into an operator norm -- an efficiently
 computable upper bound.  This script sandwiches the exact brute-force
 advantage between a fixed-f evaluation and three relaxations: the plain one
-(all-h term in closed form), a truncated one (Monte Carlo all-h term with a
-jackknife error bar), and the decoupled one over two independent families.
+(all-h term in closed form), a truncated one (closed-form all-h term plus a
+Monte Carlo correction for the clipped entries, with an error that bounds its
+distance from the exact truncated norm), and the decoupled one over two
+independent families.
 """
 
 import numpy as np
@@ -30,8 +32,8 @@ print(f"exact max over f:           {best:.6f}")
 print(f"plain spectral relaxation:  {plain:.6f}   (always >= the max)")
 
 for B in (1.0, 2.0, 4.0):
-    val, se = pl.truncated_spectral_relaxation(adv, R, B, samples=20_000, rng=rng.child(3))
-    print(f"truncated relaxation, B={B}: {val:.6f} +- {se:.6f}")
+    val, err = pl.truncated_spectral_relaxation(adv, R, B, samples=20_000, rng=rng.child(3))
+    print(f"truncated relaxation, B={B}: {val:.6f} +- {err:.6f}")
 
 Rp = pl.random_family(K, N, rng.child(4))
 dec = pl.decoupled_spectral_relaxation(adv, R, Rp)

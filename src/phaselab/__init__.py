@@ -90,7 +90,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "__version__",

@@ -189,11 +189,11 @@ def run(config: ExperimentConfig) -> dict:
             "decoupled_spectral": decoupled_spectral_relaxation(adv, R, Rp),
         }
         if p.get("B") is not None:
-            val, se = truncated_spectral_relaxation(
+            val, err = truncated_spectral_relaxation(
                 adv, R, p["B"], samples=p.get("samples", 10_000), rng=rng.child(3)
             )
             values["truncated_spectral"] = val
-            values["truncated_spectral_stderr"] = se
+            values["truncated_spectral_error"] = err
     elif config.kind == "width":
         V = random_isometry(p["N"], p["M"], rng.child(0))
         rep = width_tail_bench(V, p["K"], p.get("samples", 200), rng.child(1))

@@ -154,11 +154,24 @@ def haar_average_acceptance(adv: AdversarySpec, f) -> float:
 
 
 def advantage_given_f(adv: AdversarySpec, R, f) -> float:
-    """|E_k p(R_k | f) - E_h p(h | f)| for a fixed oracle function f."""
+    """|E_k p(R_k | f) - E_h p(h | f)| for a fixed oracle function f.
+
+    Every row's acceptance probability comes from one K x M product: row k of
+    W is O_f V |psi_{R_k}>, and p_k = Re sum_i conj(W_ki) (Pi W_k)_i, checked
+    and clamped per row as in `acceptance_probability`.
+    """
     Rv = check_family(R)
+    fv = check_signs(f)
     if Rv.shape[1] != adv.N:
         raise ValueError(f"family width {Rv.shape[1]} != N = {adv.N}")
-    fam = float(np.mean([acceptance_probability(adv, row, f) for row in Rv]))
+    if fv.size != adv.M:
+        raise ValueError(f"oracle length {fv.size} != M = {adv.M}")
+    W = fv * (adv.V @ (Rv.T / np.sqrt(adv.N))).T
+    p = np.real(np.sum(W.conj() * (W @ adv.Pi.T), axis=1))
+    bad = (p < -1e-9) | (p > 1 + 1e-9)
+    if np.any(bad):
+        raise ValueError(f"acceptance probability {p[bad][0]} outside [0, 1] tolerance")
+    fam = float(np.mean(np.clip(p, 0.0, 1.0)))
     return abs(fam - haar_average_acceptance(adv, f))
 
 

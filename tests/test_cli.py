@@ -112,6 +112,14 @@ class TestRun:
         values = run(cfg)["values"]
         assert (values["method"], values["bound"]) == (method, bound)
 
+    def test_relax_record_names_truncated_error(self):
+        cfg = ExperimentConfig(
+            kind="relaxation", params={"N": 8, "M": 16, "K": 4, "rank": 8, "B": 2.0, "samples": 200}, seed=3
+        )
+        values = run(cfg)["values"]
+        assert values["truncated_spectral_error"] >= 0.0
+        assert "truncated_spectral_stderr" not in values
+
     def test_records_append(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cfg = ExperimentConfig(

@@ -1,4 +1,4 @@
-"""Smoke test: the demos that call the exact maximizers or draw blocked streams run to completion."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         "01_game_basics.py",
         "02_hadamard_attack.py",
+        "03_decomposition_width.py",
         "04_relaxations.py",
         "05_compression.py",
         "06_concentration.py",

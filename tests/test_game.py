@@ -94,6 +94,21 @@ class TestAcceptanceProbability:
             total += acceptance_probability(adv, np.array(bits), f)
         assert haar_average_acceptance(adv, f) == pytest.approx(total / 256, abs=1e-12)
 
+    @pytest.mark.parametrize("which", ["ones", "random"])
+    def test_advantage_given_f_is_mean_of_per_row_acceptance(self, which):
+        # Independent oracle: one acceptance_probability call per family row.
+        adv = _random_adversary(8, 10, 5, 22)
+        R = random_family(16, 8, RngStream(23))
+        f = np.ones(10) if which == "ones" else random_signs(10, RngStream(24))
+        rows = np.mean([acceptance_probability(adv, r, f) for r in R])
+        expected = abs(rows - haar_average_acceptance(adv, f))
+        assert advantage_given_f(adv, R, f) == pytest.approx(expected, abs=1e-12)
+
+    def test_advantage_given_f_rejects_wrong_oracle_length(self):
+        adv = _random_adversary(4, 6, 3, 25)
+        with pytest.raises(ValueError, match="oracle length"):
+            advantage_given_f(adv, random_family(2, 4, RngStream(26)), np.ones(5))
+
 
 class TestAdvantageKernel:
     @given(st.integers(min_value=0, max_value=10_000))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab.decomposition import rescaling_diagonals
+from phaselab import relaxations
+from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import (
     AdversarySpec,
     advantage_given_f,
@@ -103,6 +104,47 @@ class TestTruncatedRelaxation:
         a = truncated_spectral_relaxation(adv, R, B=1.5, samples=2000, rng=RngStream(15))
         b = truncated_spectral_relaxation(adv, R, B=1.5, samples=2000, rng=RngStream(15))
         assert a == b
+
+    @pytest.mark.parametrize("B", [1.5, 2.0])
+    def test_error_covers_exact_value(self, B):
+        # Independent oracle: the all-h term averaged over all 2^13 sign rows.
+        N, M = 13, 32
+        H = np.array(list(itertools.product((1.0, -1.0), repeat=N)))
+        covered = 0
+        for seed in range(50):
+            rng = RngStream(seed)
+            adv = AdversarySpec(
+                V=random_isometry(N, M, rng.child(0)), Pi=random_projector(M, 16, rng.child(1))
+            )
+            R = random_family(6, N, rng.child(2))
+            DB = truncate_values(rescaling_diagonals(adv.V, R)[0], B)
+            DhB = truncate_values(rescaling_diagonals(adv.V, H)[0], B)
+            exact = operator_norm(
+                adv.Pi * (DB.conj().T @ DB) / R.shape[0] - adv.Pi * (DhB.conj().T @ DhB) / H.shape[0]
+            )
+            val, err = truncated_spectral_relaxation(adv, R, B, samples=2000, rng=rng.child(3))
+            covered += abs(val - exact) <= err + 1e-12
+        assert covered >= 48
+
+    def test_no_clipping_gives_plain_relaxation_and_zero_error(self):
+        adv = _random_adversary(6, 9, 4, 7)
+        R = random_family(3, 6, RngStream(8))
+        val, err = truncated_spectral_relaxation(adv, R, B=50.0, samples=200, rng=RngStream(9))
+        assert val == spectral_relaxation(adv, R)
+        assert err == 0.0
+
+    def test_two_operator_norms(self, monkeypatch):
+        calls = []
+
+        def spy(m):
+            calls.append(np.shape(m))
+            return operator_norm(m)
+
+        monkeypatch.setattr(relaxations, "operator_norm", spy)
+        adv = _random_adversary(6, 16, 8, 16)
+        R = random_family(4, 6, RngStream(17))
+        truncated_spectral_relaxation(adv, R, B=1.5, samples=500, rng=RngStream(18))
+        assert calls == [(16, 16), (16, 16)]
 
 
 class TestDecoupled:
