@@ -17,6 +17,7 @@ from .numerics import (
     DERIVED_TOL,
     RngStream,
     STRUCTURAL_TOL,
+    ZERO_WEIGHT_TOL,
     operator_norm,
     parallel_blocks,
     random_isometry,
@@ -90,7 +91,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 __all__ = [
     "__version__",
@@ -99,6 +100,7 @@ __all__ = [
     "DERIVED_TOL",
     "RngStream",
     "STRUCTURAL_TOL",
+    "ZERO_WEIGHT_TOL",
     "operator_norm",
     "parallel_blocks",
     "random_isometry",

@@ -21,6 +21,7 @@ from .game import (
     check_signs,
     max_advantage_bruteforce,
     random_family,
+    sign_rows,
 )
 from .numerics import (
     RngStream,
@@ -144,19 +145,16 @@ def truncated_conjugation_sampler(V, Pi, B: float):
     diagonal are bounded by B, so each sample is Hermitian with norm at most
     2 B^2; returns (sampler, uniform bound 2B^2).
     """
-    Vm = check_isometry(V)
-    N = Vm.shape[1]
-    if N > 12:
+    adv = AdversarySpec(V, Pi)
+    if adv.N > 12:
         raise ValueError("exact centering enumerates 2^N sign functions; N <= 12")
-    bit_values = 1 << np.arange(N)  # row i of signs is -1 exactly at the set bits of i
-    signs = 1.0 - 2.0 * ((np.arange(1 << N)[:, None] & bit_values) > 0)
-    Dall, _ = rescaling_diagonals(Vm, signs)
-    DallB = truncate_values(Dall, B)
-    mean = np.einsum("ki,ij,kj->ij", DallB.conj(), Pi, DallB) / signs.shape[0]
+    DallB = truncate_values(rescaling_diagonals(adv, sign_rows(adv.N))[0], B)
+    mean = np.einsum("ki,ij,kj->ij", DallB.conj(), adv.Pi, DallB) / len(DallB)
+    place = 1 << np.arange(adv.N - 1, -1, -1)  # sign h is row sum_j [h_j < 0] 2^(N-1-j)
 
     def sampler(g: np.random.Generator) -> np.ndarray:
-        DB = DallB[int((random_sign_array(g, N) < 0) @ bit_values)]
-        return np.conj(DB)[:, None] * Pi * DB[None, :] - mean
+        DB = DallB[int((random_sign_array(g, adv.N) < 0) @ place)]
+        return np.conj(DB)[:, None] * adv.Pi * DB[None, :] - mean
 
     return sampler, 2.0 * B * B
 

@@ -30,7 +30,7 @@ from .game import (
     random_family,
     simulate_game,
 )
-from .numerics import CapacityError, RngStream, random_isometry, random_projector
+from .numerics import CapacityError, RngStream, check_norm_budget, random_isometry, random_projector
 from .relaxations import (
     decoupled_spectral_relaxation,
     spectral_relaxation,
@@ -181,6 +181,7 @@ def run(config: ExperimentConfig) -> dict:
             "x_statistic_variance": rep.x_statistic_variance,
         }
     elif config.kind == "relaxation":
+        check_norm_budget((p["M"], p["M"]))  # every relaxation is the norm of an M x M matrix
         adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
         R = random_family(p["K"], adv.N, rng.child(1))
         Rp = random_family(p["K"], adv.N, rng.child(2))

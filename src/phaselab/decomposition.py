@@ -7,9 +7,10 @@ rescaling matrix with entries <v_i|psi_h> / sqrt(wt_i).  The width of a
 family measures how far its K rescaling diagonals deviate, on average, from
 the typical unit magnitude; truncation clips diagonal entries to a bound B.
 
-Zero-weight rows of V (weight below 1e-14) contribute nothing to any state:
-their diagonal entries are set to 0, and they are excluded from the width
-maximum and the boundedness check.
+Zero-weight rows of V (weight at most ZERO_WEIGHT_TOL = 1e-14) contribute
+nothing to any state: their diagonal entries are set to 0, and they are
+excluded from the width maximum and the boundedness check.  Every function
+here takes V or an AdversarySpec, whose weights and mask are not checked again.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import check_family, check_signs
-from .numerics import check_isometry
+from .game import AdversarySpec, check_family, check_signs
+from .numerics import ZERO_WEIGHT_TOL, isometry_weights
 
 __all__ = [
     "ZERO_WEIGHT_TOL",
@@ -33,8 +34,6 @@ __all__ = [
     "width",
     "is_b_bounded",
 ]
-
-ZERO_WEIGHT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,6 @@ class RescalingMatrix:
         return np.diag(self.diagonal)
 
 
-def isometry_weights(V) -> np.ndarray:
-    """Row weights wt_i = <v_i|v_i>/N of an isometry; they sum to 1."""
-    Vm = check_isometry(V)
-    w = np.sum(np.abs(Vm) ** 2, axis=1) / Vm.shape[1]
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {total}, expected 1")
-    return w
-
-
 def weight_vector(weights) -> np.ndarray:
     """Unit vector with amplitudes sqrt(wt_i)."""
     w = np.asarray(weights, dtype=np.float64)
@@ -74,14 +63,18 @@ def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
     """Rescaling diagonals for every row of a family at once.
 
     Returns (D, mask) where D is K x M with D[k, i] = <v_i|psi_{R_k}>/sqrt(wt_i)
-    (0 at masked indices) and mask marks zero-weight rows of V.
+    (0 at masked indices) and mask marks zero-weight rows of V.  V may be an
+    AdversarySpec, whose stored weights and mask are used as they are.
     """
-    w = isometry_weights(V)  # also checks that V is an isometry
-    Vm = np.asarray(V, dtype=np.complex128)
+    if isinstance(V, AdversarySpec):
+        Vm, w, mask = V.V, V.weights, V.mask
+    else:
+        w = isometry_weights(V)  # also checks that V is an isometry
+        Vm = np.asarray(V, dtype=np.complex128)
+        mask = w <= ZERO_WEIGHT_TOL
     Rv = check_family(R)
     if Rv.shape[1] != Vm.shape[1]:
         raise ValueError(f"family width {Rv.shape[1]} != N = {Vm.shape[1]}")
-    mask = w <= ZERO_WEIGHT_TOL
     amps = (Vm @ (Rv.T / np.sqrt(Rv.shape[1]))).T  # K x M, <v_i|psi_k>
     scale = np.sqrt(np.where(mask, 1.0, w))
     D = amps / scale

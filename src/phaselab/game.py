@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    ZERO_WEIGHT_TOL,
     CapacityError,
     RngStream,
-    check_isometry,
     check_projector,
+    isometry_weights,
     parallel_blocks,
     random_sign_array,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "advantage_given_f",
     "advantage_kernel",
     "kernel_quadratic_form",
+    "sign_rows",
     "max_abs_quadratic",
     "max_advantage_bruteforce",
     "max_advantage_localsearch",
@@ -93,20 +95,28 @@ def random_family(K: int, N: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """One-query adversary in normal form: isometry V (M x N), projector Pi (M x M)."""
+    """One-query adversary in normal form: isometry V (M x N), projector Pi (M x M).
+
+    Checked once; keeps V's row weights and zero-weight mask as `weights` and
+    `mask`.  All four are read-only views.
+    """
 
     V: np.ndarray
     Pi: np.ndarray
 
     def __post_init__(self):
-        V = check_isometry(self.V)
+        weights = isometry_weights(self.V)  # the one check of V
+        V = np.asarray(self.V, dtype=np.complex128)
         Pi = check_projector(self.Pi)
         if Pi.shape[0] != V.shape[0]:
             raise ValueError(
                 f"projector dimension {Pi.shape[0]} != isometry output {V.shape[0]}"
             )
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "Pi", Pi)
+        mask = weights <= ZERO_WEIGHT_TOL
+        for name, a in (("V", V), ("Pi", Pi), ("weights", weights), ("mask", mask)):
+            view = a.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def N(self) -> int:
@@ -198,8 +208,8 @@ def kernel_quadratic_form(B: np.ndarray, f) -> float:
     return float(np.real(fv @ (B @ fv)))
 
 
-def _sign_rows(n: int) -> np.ndarray:
-    """All 2^n sign vectors of length n, lexicographic with +1 before -1."""
+def sign_rows(n: int) -> np.ndarray:
+    """All 2^n sign vectors of length n, lexicographic: row i is -1 at i's set bits, MSB first."""
     idx = np.arange(1 << n)[:, None]
     return 1.0 - 2.0 * ((idx >> np.arange(n - 1, -1, -1)) & 1)
 
@@ -217,8 +227,8 @@ def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
     """
     m = K.shape[0]
     ka = (m + 1) // 2
-    Fa = _sign_rows(ka)[: 1 << (ka - 1)]  # the first half has f_1 = +1
-    Fb = _sign_rows(m - ka)
+    Fa = sign_rows(ka)[: 1 << (ka - 1)]  # the first half has f_1 = +1
+    Fb = sign_rows(m - ka)
     qa = np.einsum("ij,ij->i", Fa @ K[:ka, :ka], Fa)
     qb = np.einsum("ij,ij->i", Fb @ K[ka:, ka:], Fb)
     A = np.column_stack([Fa, qa, np.ones(len(Fa))])

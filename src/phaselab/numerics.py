@@ -24,12 +24,14 @@ __all__ = [
     "RngStream",
     "random_sign_array",
     "operator_norm",
+    "check_norm_budget",
     "random_isometry",
     "random_projector",
     "tv_distance",
     "check_unit_vector",
     "check_isometry",
     "check_projector",
+    "isometry_weights",
     "thread_count",
     "parallel_blocks",
     "CapacityError",
@@ -38,6 +40,7 @@ __all__ = [
 # Tolerance hierarchy: structural invariants at 1e-10, derived equalities at 1e-8.
 STRUCTURAL_TOL = 1e-10
 DERIVED_TOL = 1e-8
+ZERO_WEIGHT_TOL = 1e-14  # an isometry row whose weight <v_i|v_i>/N is at most this is zero
 
 # Largest matrix dimension operator_norm accepts.  Its eigensolve grows as
 # dim^3 (0.4-0.7 s at 1024 on one core, so about half a minute at 4096): a
@@ -133,6 +136,14 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def check_norm_budget(shape) -> None:
+    """Raise CapacityError if a matrix of this shape is too large for operator_norm."""
+    if max(shape, default=0) > NORM_MAX_DIM:
+        raise CapacityError(
+            f"operator norm of a {tuple(shape)} matrix exceeds the dimension budget {NORM_MAX_DIM}"
+        )
+
+
 def operator_norm(m) -> float:
     """Largest singular value of a dense complex matrix, by a dense eigensolve.
 
@@ -142,10 +153,7 @@ def operator_norm(m) -> float:
     matrix, A^H A or A A^H.  Raises CapacityError, before converting m, when a
     dimension exceeds NORM_MAX_DIM.
     """
-    if max(np.shape(m), default=0) > NORM_MAX_DIM:
-        raise CapacityError(
-            f"operator norm of a {np.shape(m)} matrix exceeds the dimension budget {NORM_MAX_DIM}"
-        )
+    check_norm_budget(np.shape(m))
     a = _as_matrix(m)
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
         w = np.linalg.eigvalsh(a)
@@ -207,6 +215,12 @@ def check_isometry(v, tol: float = DERIVED_TOL) -> np.ndarray:
     if resid > tol:
         raise ValueError(f"not an isometry: max |V^H V - Id| = {resid:.3e}")
     return a
+
+
+def isometry_weights(V) -> np.ndarray:
+    """Row weights wt_i = <v_i|v_i>/N of V, after check_isometry; they sum to 1 to its tolerance."""
+    Vm = check_isometry(V)
+    return np.sum(np.abs(Vm) ** 2, axis=1) / Vm.shape[1]
 
 
 def check_projector(p, tol: float = DERIVED_TOL) -> np.ndarray:

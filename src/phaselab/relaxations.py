@@ -1,21 +1,28 @@
 """Operator-norm upper bounds on the distinguishing advantage.
 
-Replacing the oracle-rotated weight vector O_f |wt_V> by an arbitrary unit
-vector turns the maximum over oracle functions into an operator norm of a
-difference of averaged conjugated rescaling matrices -- the spectral
-relaxation.  Three variants live here: the plain relaxation (all-h term in
-closed form), the truncated relaxation (diagonals clipped at B, all-h term in
-closed form plus a Monte Carlo correction for the clipped entries), and the
-decoupled relaxation over two independent families.  A subset-norm explorer
-for product-space measurements rounds out the module.
+The gap at f is f^T B f = <wt_V| O_f A O_f |wt_V> for the game's kernel B and
+A = B in the weight basis, A_ij = B_ij / sqrt(wt_i wt_j) with zero-weight rows
+and columns 0.  Replacing the unit vector O_f |wt_V> by any unit vector bounds
+the advantage by ||A||_op: the spectral relaxation.  The plain relaxation takes
+B from `advantage_kernel`, the decoupled one (two independent families) from
+`decoupled_kernel`; the truncated one clips the rescaling diagonals at B and
+corrects the clipped all-h entries by Monte Carlo.  A subset-norm explorer for
+product-space measurements rounds out the module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .decomposition import ZERO_WEIGHT_TOL, rescaling_diagonals, truncate_values
-from .game import BRUTEFORCE_CUTOFF, AdversarySpec, check_family, check_signs, max_abs_quadratic
+from .decomposition import rescaling_diagonals, truncate_values
+from .game import (
+    BRUTEFORCE_CUTOFF,
+    AdversarySpec,
+    advantage_kernel,
+    check_family,
+    check_signs,
+    max_abs_quadratic,
+)
 from .numerics import CapacityError, RngStream, operator_norm, parallel_blocks, random_sign_array
 
 __all__ = [
@@ -31,26 +38,13 @@ __all__ = [
 TRUNCATED_BATCHES = 10  # Monte Carlo batches of the truncated relaxation's all-h correction
 
 
-def _weights_and_mask(adv: AdversarySpec) -> tuple[np.ndarray, np.ndarray]:
-    w = np.sum(np.abs(adv.V) ** 2, axis=1) / adv.N
-    mask = w <= ZERO_WEIGHT_TOL
-    return w, mask
-
-
-def _haar_conjugated_term(adv: AdversarySpec) -> np.ndarray:
-    """Closed form of E_h[D_h^H Pi D_h].
-
-    Entry (i, j) is Pi_ij <v_j|v_i> / (N sqrt(wt_i wt_j)), which follows from
-    averaging conj(<v_i|psi_h>) <v_j|psi_h> against the maximally mixed state.
-    Masked (zero-weight) rows contribute zero.
-    """
-    w, mask = _weights_and_mask(adv)
-    gram = (adv.V @ adv.V.conj().T).conj()  # (i, j) entry = <v_j|v_i>
-    scale = np.sqrt(np.where(mask, 1.0, w))
-    T = adv.Pi * gram / (adv.N * np.outer(scale, scale))
-    T[mask, :] = 0.0
-    T[:, mask] = 0.0
-    return T
+def _weight_basis(adv: AdversarySpec, kernel: np.ndarray) -> np.ndarray:
+    """kernel_ij / sqrt(wt_i wt_j), with zero-weight rows and columns set to 0."""
+    scale = np.sqrt(np.where(adv.mask, 1.0, adv.weights))
+    out = kernel / np.outer(scale, scale)  # an exactly Hermitian kernel stays so
+    out[adv.mask, :] = 0.0
+    out[:, adv.mask] = 0.0
+    return out
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -58,12 +52,15 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _clip_gain(D: np.ndarray, B: float) -> np.ndarray:
+    """(trunc(D) - D)^H (trunc(D) + D): its Hermitian part is trunc(D)^H trunc(D) - D^H D."""
+    DB = truncate_values(D, B)
+    return (DB - D).conj().T @ (DB + D)
+
+
 def spectral_relaxation(adv: AdversarySpec, R) -> float:
-    """|| E_k D_k^H Pi D_k  -  E_h D_h^H Pi D_h ||_op, all-h term exact."""
-    Rv = check_family(R)
-    D, _ = rescaling_diagonals(adv.V, Rv)
-    family_term = adv.Pi * (D.conj().T @ D) / Rv.shape[0]
-    return operator_norm(family_term - _haar_conjugated_term(adv))
+    """||advantage_kernel(adv, R) in the weight basis|| = ||E_k D_k^H Pi D_k - E_h D_h^H Pi D_h||"""
+    return operator_norm(_weight_basis(adv, advantage_kernel(adv, R)))
 
 
 def truncated_spectral_relaxation(
@@ -73,54 +70,45 @@ def truncated_spectral_relaxation(
     samples: int = 10_000,
     rng: RngStream | None = None,
 ) -> tuple[float, float]:
-    """Spectral relaxation with diagonals clipped at magnitude B.
+    """Spectral relaxation with rescaling diagonals clipped at magnitude B.
 
-    The all-h term is a control variate: the closed form of the unclipped term
-    plus Pi o the Monte Carlo mean of D_hB^H D_hB - D_h^H D_h over `samples`
-    random sign functions in TRUNCATED_BATCHES batches.  Only clipped entries
-    make that correction nonzero, so it is exactly 0 when no diagonal exceeds B.
-    Returns (value, error).  The error is ||Pi o (mean over the first half of
-    the batches - mean over the second half)|| / 2, an estimate of the norm of
-    the Monte Carlo error matrix; by Weyl's inequality that norm bounds
-    |value - exact|, where exact is the norm with the all-h term averaged over
-    all 2^N sign functions.
+    The matrix is the plain relaxation's plus Pi o H(G_R)/K minus Pi o H(G_h)/n:
+    H is the Hermitian part, G the clip gain (trunc(D) - D)^H (trunc(D) + D), and
+    G_h sums it over `samples` random sign functions in TRUNCATED_BATCHES batches,
+    a Monte Carlo estimate for the all-h term.  With no entry clipped both gains
+    are 0 and the value is exactly `spectral_relaxation`.  Returns (value, error).
+    The error is ||Pi o (mean over the first half of the batches - mean over
+    the second half)|| / 2, an estimate of the norm of the Monte Carlo error
+    matrix; by Weyl's inequality that norm bounds |value - exact|, where exact
+    is the norm with the all-h term averaged over all 2^N sign functions.
     """
     if samples < TRUNCATED_BATCHES:
         raise ValueError(f"need at least {TRUNCATED_BATCHES} samples, one per batch; got {samples}")
     if rng is None:
         rng = RngStream(0)
-    Rv = check_family(R)
-    D, _ = rescaling_diagonals(adv.V, Rv)
-    DB = truncate_values(D, B)
-    closed = adv.Pi * (DB.conj().T @ DB) / Rv.shape[0] - _haar_conjugated_term(adv)
+    plain = _weight_basis(adv, advantage_kernel(adv, R))
+    D, _ = rescaling_diagonals(adv, R)
+    family_gain = _clip_gain(D, B) / len(D)
 
     per_batch = samples // TRUNCATED_BATCHES
     n = per_batch * TRUNCATED_BATCHES
 
     def run_batch(b, size):
         g = rng.child(b).generator()
-        Dh, _ = rescaling_diagonals(adv.V, random_sign_array(g, (size, adv.N)))
-        DhB = truncate_values(Dh, B)
-        # One product whose Hermitian part is DhB^H DhB - Dh^H Dh.
-        return (DhB - Dh).conj().T @ (DhB + Dh)
+        Dh, _ = rescaling_diagonals(adv, random_sign_array(g, (size, adv.N)))
+        return _clip_gain(Dh, B)
 
     sums = parallel_blocks(run_batch, n, per_batch)
     half = TRUNCATED_BATCHES // 2
     first, second = sum(sums[:half]), sum(sums[half:])
-    value = operator_norm(closed - adv.Pi * _hermitian_part(first + second) / n)
+    value = operator_norm(plain + adv.Pi * _hermitian_part(family_gain - (first + second) / n))
     error = operator_norm(adv.Pi * _hermitian_part(first - second) / n)
     return value, error
 
 
 def decoupled_spectral_relaxation(adv: AdversarySpec, R, Rp) -> float:
-    """|| E_k D_k^H Pi D'_k ||_op over two families of the same shape."""
-    Rv = check_family(R)
-    Rpv = check_family(Rp)
-    if Rv.shape != Rpv.shape:
-        raise ValueError(f"family shapes differ: {Rv.shape} vs {Rpv.shape}")
-    D, _ = rescaling_diagonals(adv.V, Rv)
-    Dp, _ = rescaling_diagonals(adv.V, Rpv)
-    return operator_norm(adv.Pi * (D.conj().T @ Dp) / Rv.shape[0])
+    """||decoupled_kernel(adv, R, Rp) in the weight basis|| = ||E_k D_k^H Pi D'_k||."""
+    return operator_norm(_weight_basis(adv, decoupled_kernel(adv, R, Rp)))
 
 
 def decoupled_kernel(adv: AdversarySpec, R, Rp) -> np.ndarray:
@@ -129,6 +117,8 @@ def decoupled_kernel(adv: AdversarySpec, R, Rp) -> np.ndarray:
     Rpv = check_family(Rp)
     if Rv.shape != Rpv.shape:
         raise ValueError(f"family shapes differ: {Rv.shape} vs {Rpv.shape}")
+    if Rv.shape[1] != adv.N:
+        raise ValueError(f"family width {Rv.shape[1]} != N = {adv.N}")
     sqrtN = np.sqrt(Rv.shape[1])
     U = (adv.V @ (Rv.T / sqrtN)).T
     Up = (adv.V @ (Rpv.T / sqrtN)).T

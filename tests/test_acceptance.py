@@ -252,12 +252,14 @@ dev = pl.verify_one_query_simulation(
 )
 attack = pl.hadamard_attack_report(4, 4, 150, 2000, rng.child(8))
 width = pl.width_tail_bench(pl.random_isometry(8, 24, rng.child(9)), 8, 150, rng.child(10))
+truncated = pl.truncated_spectral_relaxation(adv, R, 1.2, samples=2000, rng=rng.child(11))
 print(json.dumps({
     "win": repr(win),
     "empirical": [list(map(repr, r.empirical)) for r in reports],
     "deviation": repr(dev),
     "attack": repr(attack),
     "width": repr(width),
+    "truncated": list(map(repr, truncated)),
     "threads": pl.thread_count(),
 }))
 """
@@ -279,5 +281,5 @@ class TestThreadDeterminism:
         assert outputs[0]["threads"] == 1
         assert outputs[1]["threads"] == 8
         assert outputs[0]["win"] == outputs[1]["win"]
-        for key in ("empirical", "deviation", "attack", "width"):
+        for key in ("empirical", "deviation", "attack", "width", "truncated"):
             assert outputs[0][key] == outputs[1][key]

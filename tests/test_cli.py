@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phaselab import cli
 from phaselab.bench import BENCHES
 from phaselab.cli import ExperimentConfig, _build_parser, load_instance, main, run, save_instance
 from phaselab.game import AdversarySpec, random_family
@@ -207,6 +208,16 @@ class TestMain:
         code = main(["conjecture", "--N", "16", "--P", "2", "--L", "32", "--seed", "5"])
         assert code == 3
         capsys.readouterr()
+
+    def test_oversize_relaxation_refused_before_drawing(self, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
+        code = main(["relax", "--M", "4097"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "4096" in captured.err
+        assert captured.out == ""
+        assert drawn == []
 
     def test_out_file_written(self, tmp_path):
         out = tmp_path / "r.jsonl"

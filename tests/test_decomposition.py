@@ -14,8 +14,9 @@ from phaselab.decomposition import (
     weight_vector,
     width,
 )
-from phaselab.game import phase_state, random_family, random_signs
-from phaselab.numerics import RngStream, random_isometry
+import phaselab
+from phaselab.game import AdversarySpec, phase_state, random_family, random_signs
+from phaselab.numerics import RngStream, random_isometry, random_projector
 
 
 def _isometry_with_zero_row(N):
@@ -164,3 +165,31 @@ class TestBoundedness:
 
     def test_zero_weight_tolerance_exported(self):
         assert 0 < ZERO_WEIGHT_TOL < 1e-10
+        assert phaselab.ZERO_WEIGHT_TOL is ZERO_WEIGHT_TOL
+        assert phaselab.isometry_weights is isometry_weights
+
+
+class TestAdversaryInPlaceOfV:
+    def _adversary(self):
+        V = np.vstack([random_isometry(6, 9, RngStream(20)), np.zeros((1, 6))])
+        return AdversarySpec(V=V, Pi=random_projector(10, 5, RngStream(21)))
+
+    def test_rescaling_diagonals_bit_identical(self):
+        adv = self._adversary()
+        R = random_family(5, 6, RngStream(22))
+        D, mask = rescaling_diagonals(adv, R)
+        Dv, maskv = rescaling_diagonals(adv.V, R)
+        np.testing.assert_array_equal(D, Dv)
+        np.testing.assert_array_equal(mask, maskv)
+        assert mask[-1]
+
+    def test_width_boundedness_and_matrix(self):
+        adv = self._adversary()
+        R = random_family(5, 6, RngStream(23))
+        assert width(adv, R) == width(adv.V, R)
+        assert is_b_bounded(adv, R, 1.5) == is_b_bounded(adv.V, R, 1.5)
+        np.testing.assert_array_equal(rescaling_matrix(adv, R[0]).diagonal, rescaling_matrix(adv.V, R[0]).diagonal)
+
+    def test_family_width_checked(self):
+        with pytest.raises(ValueError, match="family width 5 != N = 6"):
+            rescaling_diagonals(self._adversary(), random_family(2, 5, RngStream(24)))

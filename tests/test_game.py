@@ -20,6 +20,7 @@ from phaselab.game import (
     phase_state,
     random_family,
     random_signs,
+    sign_rows,
     simulate_game,
 )
 from phaselab.numerics import CapacityError, RngStream, random_isometry, random_projector
@@ -69,6 +70,30 @@ class TestValidatorsAndStates:
     def test_adversary_spec_validates(self):
         with pytest.raises(ValueError):
             AdversarySpec(V=np.ones((4, 2)), Pi=np.eye(4))
+
+    def test_adversary_spec_keeps_weights_and_mask(self):
+        V = np.vstack([random_isometry(3, 5, RngStream(4)), np.zeros((1, 3))])
+        adv = AdversarySpec(V=V, Pi=np.eye(6))
+        np.testing.assert_array_equal(adv.weights, np.sum(np.abs(V) ** 2, axis=1) / 3)
+        assert adv.mask.tolist() == [False] * 5 + [True]
+
+    @pytest.mark.parametrize("name", ["V", "Pi", "weights", "mask"])
+    def test_adversary_spec_arrays_read_only(self, name):
+        adv = _random_adversary(3, 5, 2, 5)
+        with pytest.raises(ValueError):
+            getattr(adv, name)[0] = 0
+
+    def test_adversary_spec_accepts_isometry_within_tolerance(self):
+        # V^H V = (1 + 6e-9) Id passes the 1e-8 isometry check, though the
+        # weights then sum to 1 + 6e-9.
+        V = (1 + 3e-9) * random_isometry(4, 7, RngStream(6))
+        adv = AdversarySpec(V=V, Pi=random_projector(7, 3, RngStream(7)))
+        assert adv.weights.sum() == pytest.approx(1 + 6e-9, abs=1e-12)
+
+    def test_sign_rows_lexicographic(self):
+        np.testing.assert_array_equal(
+            sign_rows(3), np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        )
 
 
 class TestAcceptanceProbability:

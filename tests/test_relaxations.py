@@ -1,22 +1,31 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab import relaxations
+from phaselab import numerics, relaxations
 from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import (
     AdversarySpec,
     advantage_given_f,
+    advantage_kernel,
     max_advantage_bruteforce,
     random_family,
     random_signs,
 )
-from phaselab.numerics import CapacityError, RngStream, operator_norm, random_isometry, random_projector
+from phaselab.numerics import (
+    ZERO_WEIGHT_TOL,
+    CapacityError,
+    RngStream,
+    operator_norm,
+    random_isometry,
+    random_projector,
+    random_sign_array,
+)
 from phaselab.relaxations import (
-    _haar_conjugated_term,
     decoupled_advantage_given_f,
     decoupled_kernel,
     decoupled_spectral_relaxation,
@@ -43,19 +52,132 @@ def _lexfirst_max(C):
     return vals[i], fs[i]
 
 
+def _all_sign_rows(n):
+    return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+
+
+def _enumerated_all_h_term(adv):
+    """E_h D_h^H Pi D_h, averaged over all 2^N sign functions."""
+    H = _all_sign_rows(adv.N)
+    D, _ = rescaling_diagonals(adv.V, H)
+    return np.einsum("ki,ij,kj->ij", D.conj(), adv.Pi, D) / H.shape[0]
+
+
+def _weight_basis_all_h_term(adv, R):
+    """The all-h term inside advantage_kernel, in the weight basis: family term minus kernel."""
+    D, _ = rescaling_diagonals(adv.V, R)
+    family = adv.Pi * (D.conj().T @ D) / R.shape[0]
+    return family - relaxations._weight_basis(adv, advantage_kernel(adv, R))
+
+
 class TestHaarTerm:
-    def test_matches_exhaustive_sign_average(self):
-        # Independent oracle: enumerate all 2^N sign functions at N=8 and
-        # average the conjugated rescaling matrices directly.
+    # The closed-form all-h term lives in advantage_kernel; the independent
+    # route enumerates all 2^N sign functions.
+    def test_all_sign_rows_give_zero(self):
         adv = _random_adversary(8, 12, 6, 1)
-        H = np.array(list(itertools.product((1.0, -1.0), repeat=8)))
-        D, _ = rescaling_diagonals(adv.V, H)
-        empirical = np.einsum("ki,ij,kj->ij", D.conj(), adv.Pi, D) / H.shape[0]
-        np.testing.assert_allclose(_haar_conjugated_term(adv), empirical, atol=1e-10)
+        assert spectral_relaxation(adv, _all_sign_rows(8)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_exhaustive_sign_average(self):
+        adv = _random_adversary(8, 12, 6, 1)
+        R = random_family(5, 8, RngStream(2))
+        all_h = _enumerated_all_h_term(adv)
+        np.testing.assert_allclose(_weight_basis_all_h_term(adv, R), all_h, atol=1e-10)
+        D, _ = rescaling_diagonals(adv.V, R)
+        want = operator_norm(adv.Pi * (D.conj().T @ D) / R.shape[0] - all_h)
+        assert spectral_relaxation(adv, R) == pytest.approx(want, abs=1e-12)
 
     def test_hermitian(self):
-        T = _haar_conjugated_term(_random_adversary(6, 10, 5, 2))
+        adv = _random_adversary(6, 10, 5, 2)
+        T = _weight_basis_all_h_term(adv, random_family(3, 6, RngStream(3)))
         np.testing.assert_allclose(T, T.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("row", [0.0, 1e-8])
+class TestZeroWeightRow:
+    """A zero-weight row of V, exactly 0 or of weight 1e-16: each relaxation
+    against the direct masked formula."""
+
+    N, M, B = 6, 10, 1.2
+
+    def _adversary(self, row):
+        rng = RngStream(50)
+        V = np.insert(random_isometry(self.N, self.M - 1, rng.child(0)), 3, row, axis=0)
+        adv = AdversarySpec(V=V, Pi=random_projector(self.M, 5, rng.child(1)))
+        assert adv.mask.tolist() == [i == 3 for i in range(self.M)]
+        return adv
+
+    def _diagonals(self, adv, R):
+        # <v_i|psi_k> / sqrt(wt_i), and 0 on the zero-weight row.
+        w = np.sum(np.abs(adv.V) ** 2, axis=1) / adv.N
+        amps = R @ adv.V.T / np.sqrt(adv.N)
+        active = w > ZERO_WEIGHT_TOL
+        return np.where(active, amps / np.sqrt(np.where(active, w, 1.0)), 0.0)
+
+    def _term(self, adv, D, Dp=None):
+        Dp = D if Dp is None else Dp
+        return adv.Pi * (D.conj().T @ Dp) / D.shape[0]
+
+    def test_weight_basis(self, row):
+        adv = self._adversary(row)
+        B = advantage_kernel(adv, random_family(4, self.N, RngStream(56)))
+        A = relaxations._weight_basis(adv, B)
+        w = np.sum(np.abs(adv.V) ** 2, axis=1) / adv.N
+        keep = np.arange(self.M) != 3
+        np.testing.assert_array_equal(A[3], 0.0)
+        np.testing.assert_array_equal(A[:, 3], 0.0)
+        want = B[np.ix_(keep, keep)] / np.sqrt(np.outer(w[keep], w[keep]))
+        np.testing.assert_allclose(A[np.ix_(keep, keep)], want, rtol=1e-12)
+
+    def test_spectral(self, row):
+        adv = self._adversary(row)
+        R = random_family(4, self.N, RngStream(51))
+        all_h = self._term(adv, self._diagonals(adv, _all_sign_rows(self.N)))
+        want = operator_norm(self._term(adv, self._diagonals(adv, R)) - all_h)
+        assert spectral_relaxation(adv, R) == pytest.approx(want, abs=1e-12)
+
+    def test_decoupled(self, row):
+        adv = self._adversary(row)
+        R = random_family(4, self.N, RngStream(52))
+        Rp = random_family(4, self.N, RngStream(53))
+        want = operator_norm(self._term(adv, self._diagonals(adv, R), self._diagonals(adv, Rp)))
+        assert decoupled_spectral_relaxation(adv, R, Rp) == pytest.approx(want, abs=1e-12)
+
+    def test_truncated(self, row):
+        adv = self._adversary(row)
+        R = random_family(4, self.N, RngStream(54))
+        rng = RngStream(55)
+        DB = truncate_values(self._diagonals(adv, R), self.B)
+        all_h = self._term(adv, self._diagonals(adv, _all_sign_rows(self.N)))
+        # The same draws as the relaxation: 10 batches of 50 sign functions.
+        correction = np.zeros((self.M, self.M), dtype=np.complex128)
+        for b in range(10):
+            Dh = self._diagonals(adv, random_sign_array(rng.child(b).generator(), (50, self.N)))
+            DhB = truncate_values(Dh, self.B)
+            correction += self._term(adv, DhB) - self._term(adv, Dh)
+        want = operator_norm(self._term(adv, DB) - all_h - correction / 10)
+        val, _ = truncated_spectral_relaxation(adv, R, self.B, samples=500, rng=rng)
+        assert val == pytest.approx(want, abs=1e-12)
+        assert val != pytest.approx(spectral_relaxation(adv, R), abs=1e-6)
+
+
+def test_one_isometry_check_per_adversary(monkeypatch):
+    calls = []
+    original = numerics.check_isometry
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phaselab") and getattr(module, "check_isometry", None) is original:
+            monkeypatch.setattr(module, "check_isometry", spy)
+    adv = _random_adversary(8, 16, 8, 60)
+    R = random_family(4, 8, RngStream(61))
+    Rp = random_family(4, 8, RngStream(62))
+    spectral_relaxation(adv, R)
+    decoupled_spectral_relaxation(adv, R, Rp)
+    truncated_spectral_relaxation(adv, R, B=1.5, samples=200, rng=RngStream(63))
+    assert len(calls) == 1
 
 
 class TestSpectralRelaxation:
@@ -193,6 +315,22 @@ class TestDecoupled:
         Rp = random_family(3, 6, RngStream(25))
         best, _ = max_decoupled_bruteforce(adv, R, Rp)
         assert best <= decoupled_spectral_relaxation(adv, R, Rp) + 1e-9
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            decoupled_kernel,
+            decoupled_spectral_relaxation,
+            max_decoupled_bruteforce,
+            lambda adv, R, Rp: decoupled_advantage_given_f(adv, R, Rp, np.ones(adv.M)),
+        ],
+    )
+    def test_family_width_checked(self, entry):
+        adv = _random_adversary(6, 8, 4, 27)
+        R = random_family(3, 5, RngStream(0))
+        Rp = random_family(3, 5, RngStream(1))
+        with pytest.raises(ValueError, match="family width 5 != N = 6"):
+            entry(adv, R, Rp)
 
     def test_shape_mismatch_rejected(self):
         adv = _random_adversary(6, 8, 4, 26)
