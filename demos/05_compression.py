@@ -22,11 +22,11 @@ adv = pl.AdversarySpec(
     Pi=pl.random_projector(L * S, 64, rng.child(1)),
 )
 
-ops = pl.measurement_operators(adv.V, L, S)
+ops = pl.measurement_operators(adv, L, S)
 print(f"{L} measurement operators on dimension {D}; "
       f"sum-to-identity residual {np.max(np.abs(sum(ops) - np.eye(D))):.2e}")
 
-W = pl.compress_isometry(adv.V, L, S)
+W = pl.compress_isometry(adv, L, S)
 print(f"original isometry: {adv.V.shape[0]} x {adv.V.shape[1]} "
       f"-> compressed: {W.shape[0]} x {W.shape[1]}")
 print(f"isometry residual of W: "

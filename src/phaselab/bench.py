@@ -119,7 +119,7 @@ def rademacher_series_bench(
 
     def run_block(b, size):
         signs = random_sign_array(rng.child(b).generator(), (size, len(C)))
-        return np.array([operator_norm(np.tensordot(s, stacked, axes=1)) for s in signs])
+        return operator_norm(np.stack([np.tensordot(s, stacked, axes=1) for s in signs]))
 
     norms = np.concatenate(parallel_blocks(run_block, samples))
     bounds = [min(1.0, (d1 + d2) * np.exp(-(t**2) / (2.0 * v))) for t in thresholds]
@@ -184,13 +184,11 @@ def matrix_hoeffding_bench(
 
     def run_block(b, size):
         g = rng.child(b + 1).generator()
-        out = np.empty(size)
+        acc = np.zeros((size, D, D), dtype=np.complex128)
         for i in range(size):
-            acc = np.zeros((D, D), dtype=np.complex128)
             for _ in range(K):
-                acc += sampler(g)
-            out[i] = operator_norm(acc)
-        return out
+                acc[i] += sampler(g)
+        return operator_norm(acc)
 
     norms = np.concatenate(parallel_blocks(run_block, samples))
     bounds = [

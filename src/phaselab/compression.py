@@ -28,8 +28,8 @@ __all__ = [
 
 
 def measurement_operators(V, L: int, S: int) -> list[np.ndarray]:
-    """M_z = V^H (|z><z| tensor Id_S) V for z in [L]; PSD, summing to Id_D."""
-    Vm = check_isometry(V)
+    """M_z = V^H (|z><z| tensor Id_S) V for z in [L]; PSD, summing to Id_D.  V may be a spec."""
+    Vm = V.V if isinstance(V, AdversarySpec) else check_isometry(V)
     if Vm.shape[0] != L * S:
         raise ValueError(f"isometry output {Vm.shape[0]} != L*S = {L * S}")
     blocks = Vm.reshape(L, S, Vm.shape[1])
@@ -119,7 +119,7 @@ def verify_one_query_simulation(
     if M % L != 0:
         raise ValueError(f"total dimension {M} does not factor through L = {L}")
     S = M // L
-    W = compress_isometry(Vm, L, S)
+    W = compress_isometry(adv, L, S)
 
     def run_block(b, size):
         g = rng.child(b).generator()

@@ -8,7 +8,8 @@ reproducible independently of thread scheduling, and the one sign sampler.
 
 Every operator norm is one dense LAPACK eigensolve, at any size up to
 NORM_MAX_DIM: an exactly Hermitian matrix goes to eigvalsh directly, any other
-matrix through the smaller of its two Gram matrices.
+matrix through the smaller of its two Gram matrices.  A stack of matrices,
+shape (..., r, c), takes one batched eigensolve per route for the whole stack.
 """
 
 from __future__ import annotations
@@ -127,39 +128,55 @@ def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> list:
         return list(pool.map(run, range(n_blocks)))
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
 
 def check_norm_budget(shape) -> None:
-    """Raise CapacityError if a matrix of this shape is too large for operator_norm."""
-    if max(shape, default=0) > NORM_MAX_DIM:
+    """Raise CapacityError if a matrix (or stack) of this shape is too large for operator_norm."""
+    if max(tuple(shape)[-2:], default=0) > NORM_MAX_DIM:
         raise CapacityError(
             f"operator norm of a {tuple(shape)} matrix exceeds the dimension budget {NORM_MAX_DIM}"
         )
 
 
-def operator_norm(m) -> float:
+def _route_norms(a: np.ndarray, hermitian: bool) -> np.ndarray:
+    """Norms of a stack on one route: eigvalsh of a, or of its smaller Gram matrix."""
+    if hermitian:
+        w = np.linalg.eigvalsh(a)
+        return np.maximum(w[..., -1], -w[..., 0])
+    ah = np.swapaxes(a.conj(), -1, -2)
+    gram = ah @ a if a.shape[-2] >= a.shape[-1] else a @ ah
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def operator_norm(m):
     """Largest singular value of a dense complex matrix, by a dense eigensolve.
 
     An exactly Hermitian matrix (square and equal to its conjugate transpose
     bit for bit) gives the largest |eigenvalue| of eigvalsh.  Any other matrix
     gives the square root of the largest eigenvalue of its smaller Gram
-    matrix, A^H A or A A^H.  Raises CapacityError, before converting m, when a
-    dimension exceeds NORM_MAX_DIM.
+    matrix, A^H A or A A^H.  A stack of shape (..., r, c) gives an array of
+    shape (...), each value the float its matrix gives alone, bit for bit.
+    Raises CapacityError, before converting m, when r or c exceeds NORM_MAX_DIM.
     """
     check_norm_budget(np.shape(m))
-    a = _as_matrix(m)
-    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
-        w = np.linalg.eigvalsh(a)
-        return float(max(w[-1], -w[0]))
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    a = _as_matrix(m, stack=True)
+    herm = np.zeros(a.shape[:-2], dtype=bool)
+    if a.shape[-1] == a.shape[-2]:
+        herm = (a == np.swapaxes(a.conj(), -1, -2)).all(axis=(-2, -1))
+    count = np.count_nonzero(herm)
+    if 0 < count < herm.size:  # a mixed stack: each route on its own copy
+        out = np.empty(herm.shape)
+        out[herm], out[~herm] = _route_norms(a[herm], True), _route_norms(a[~herm], False)
+    else:
+        out = _route_norms(a, count > 0)
+    return float(out) if a.ndim == 2 else out
 
 
 def random_isometry(n_in: int, n_out: int, rng: RngStream) -> np.ndarray:

@@ -12,6 +12,8 @@ product-space measurements rounds out the module.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .decomposition import rescaling_diagonals, truncate_values
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 TRUNCATED_BATCHES = 10  # Monte Carlo batches of the truncated relaxation's all-h correction
+SUBSET_BLOCK = 1 << 16  # matrix entries per block of subset sums: 1 MiB of complex128
 
 
 def _weight_basis(adv: AdversarySpec, kernel: np.ndarray) -> np.ndarray:
@@ -199,45 +202,47 @@ def subset_norm_conjecture(
 ):
     """Maximize || sum_{i in S} deviation-term_i ||_op over subsets S.
 
-    'brute' enumerates all 2^L subsets (L <= cutoff); 'greedy' grows S by
-    single-index additions, accepting the first improving move, with random
-    restart orders.  Returns (best value, witness subset as a sorted tuple).
+    'brute' enumerates all 2^L subsets (L <= cutoff), ties to the first in bit
+    order; 'greedy' grows S by single-index additions, accepting the first
+    improving move, with random restart orders.  Returns (value, sorted witness).
     """
-    terms = _subset_value_terms(projectors, states)
-    L = len(terms)
-    if mode == "brute":
-        if L > cutoff:
-            raise CapacityError(f"2^{L} subsets exceed the brute-force cutoff {cutoff}")
-        best_val, best_set = 0.0, ()
-        for bits in range(1, 1 << L):
-            members = [i for i in range(L) if (bits >> i) & 1]
-            val = operator_norm(sum(terms[i] for i in members))
-            if val > best_val + 1e-15:
-                best_val, best_set = val, tuple(members)
-        return best_val, best_set
-    if mode != "greedy":
+    L = len(projectors)
+    if mode == "brute" and L > cutoff:
+        raise CapacityError(f"2^{L} subsets exceed the brute-force cutoff {cutoff}")
+    if mode not in ("brute", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = RngStream(0)
+    terms = np.stack(_subset_value_terms(projectors, states))
+    if mode == "brute":
+        # Block b: a doubling table over the low k terms, plus b's high terms in order, so
+        # each sum is sum(terms[i] for i in members) bit for bit (a Gray-code walk drifts).
+        k = min(L, max(0, (SUBSET_BLOCK // terms[0].size).bit_length() - 1))
+        low = np.zeros((1 << k, *terms.shape[1:]), dtype=np.complex128)
+        for j in range(k):
+            low[1 << j : 2 << j] = low[: 1 << j] + terms[j]
+
+        def run_block(b, size):
+            high = [terms[j] for j in range(k, L) if (b >> (j - k)) & 1]
+            return operator_norm(functools.reduce(np.add, high, low))
+
+        best_val, best_bits = 0.0, 0
+        for b, vals in enumerate(parallel_blocks(run_block, 1 << L, 1 << k)):
+            for bits, val in enumerate(vals.tolist(), start=b << k):
+                if val > best_val + 1e-15:
+                    best_val, best_bits = val, bits
+        return best_val, tuple(i for i in range(L) if (best_bits >> i) & 1)
+    rng = RngStream(0) if rng is None else rng
     best_val, best_set = 0.0, ()
     for r in range(restarts):
         order = rng.child(r).generator().permutation(L)
-        chosen: set[int] = set()
-        acc = np.zeros_like(terms[0])
-        val = 0.0
-        improved = True
-        while improved:
-            improved = False
-            for i in order:
-                if int(i) in chosen:
-                    continue
-                cand = operator_norm(acc + terms[int(i)])
-                if cand > val + 1e-12:
-                    chosen.add(int(i))
-                    acc = acc + terms[int(i)]
-                    val = cand
-                    improved = True
-                    break
+        chosen, acc, val = [], np.zeros_like(terms[0]), 0.0
+        while len(chosen) < L:
+            rest = [int(i) for i in order if int(i) not in chosen]
+            cands = operator_norm(acc + terms[rest])
+            better = np.flatnonzero(cands > val + 1e-12)
+            if better.size == 0:
+                break
+            i, val = rest[better[0]], float(cands[better[0]])
+            chosen, acc = chosen + [i], acc + terms[i]
         if val > best_val:
             best_val, best_set = val, tuple(sorted(chosen))
     return best_val, best_set

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from phaselab import bench
 from phaselab.bench import (
     TailReport,
     advantage_tail_bench,
@@ -15,7 +16,13 @@ from phaselab.bench import (
 )
 from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import AdversarySpec
-from phaselab.numerics import RngStream, operator_norm, random_isometry, random_projector
+from phaselab.numerics import (
+    RngStream,
+    operator_norm,
+    random_isometry,
+    random_projector,
+    random_sign_array,
+)
 
 
 class TestTailReport:
@@ -117,6 +124,50 @@ class TestMatrixHoeffding:
         sampler, bound = truncated_conjugation_sampler(V, Pi, B=2.0)
         rep = matrix_hoeffding_bench(sampler, bound, K=8, samples=200, rng=RngStream(14))
         assert rep.passed
+
+
+class TestStackedSampleNorms:
+    """Each bench block takes one stacked norm; the samples equal the per-sample loop's."""
+
+    @staticmethod
+    def _stacked_results(monkeypatch):
+        results = []
+
+        def spy(m):
+            out = operator_norm(m)
+            results.append(out)
+            return out
+
+        monkeypatch.setattr(bench, "operator_norm", spy)
+        return results
+
+    def test_rademacher_matches_the_per_sample_loop(self, monkeypatch):
+        C = TestRademacherSeries()._coeffs(30)
+        results = self._stacked_results(monkeypatch)
+        rademacher_series_bench(C, 150, RngStream(31))
+        stacks = [r for r in results if np.ndim(r) == 1]
+        assert [len(r) for r in stacks] == [64, 64, 22]
+        for b, got in enumerate(stacks):
+            signs = random_sign_array(RngStream(31).child(b).generator(), (len(got), len(C)))
+            want = [operator_norm(np.tensordot(s, np.stack(C), axes=1)) for s in signs]
+            np.testing.assert_array_equal(got, want)
+
+    def test_matrix_hoeffding_matches_the_per_sample_loop(self, monkeypatch):
+        sampler, bound = truncated_conjugation_sampler(
+            random_isometry(4, 8, RngStream(32)), random_projector(8, 4, RngStream(33)), B=1.5
+        )
+        results = self._stacked_results(monkeypatch)
+        matrix_hoeffding_bench(sampler, bound, K=3, samples=70, rng=RngStream(34))
+        assert [len(r) for r in results] == [64, 6]
+        for b, got in enumerate(results):
+            g = RngStream(34).child(b + 1).generator()
+            want = []
+            for _ in got:
+                acc = np.zeros((8, 8), dtype=np.complex128)
+                for _ in range(3):
+                    acc += sampler(g)
+                want.append(operator_norm(acc))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestComplexHoeffding:

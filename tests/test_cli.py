@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phaselab import cli
+from phaselab import cli, relaxations
 from phaselab.bench import BENCHES
 from phaselab.cli import ExperimentConfig, _build_parser, load_instance, main, run, save_instance
 from phaselab.game import AdversarySpec, random_family
 from phaselab.numerics import RngStream, random_isometry, random_projector
+
+
+def _reject_constant(name):
+    raise ValueError(f"record holds {name}")
 
 
 def _adversary(seed=1):
@@ -208,6 +216,40 @@ class TestMain:
         code = main(["conjecture", "--N", "16", "--P", "2", "--L", "32", "--seed", "5"])
         assert code == 3
         capsys.readouterr()
+
+    def test_oversize_conjecture_refused_before_building_terms(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(relaxations, "_subset_value_terms", lambda *a: built.append(a))
+        code = main(["conjecture", "--N", "21", "--P", "2", "--L", "21"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "cutoff 20" in captured.err
+        assert captured.out == ""
+        assert built == []
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=9) | st.just(21),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["brute", "greedy"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_conjecture_argument_vectors(self, N, P, L, K, mode):
+        values = {}
+        for m in (mode, {"brute": "greedy", "greedy": "brute"}[mode]):
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["conjecture", "--N", str(N), "--P", str(P), "--L", str(L), "--K", str(K)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--mode", m, "--restarts", "4", "--seed", "1"])
+            assert code in (0, 2, 3)
+            if code == 0:
+                record = json.loads(out.getvalue(), parse_constant=_reject_constant)
+                values[m] = record["values"]["value"]
+                assert err.getvalue() == ""
+        if len(values) == 2:
+            # Both sum their terms, in different orders: allow rounding.
+            assert values["brute"] >= values["greedy"] - 1e-12
 
     def test_oversize_relaxation_refused_before_drawing(self, monkeypatch, capsys):
         drawn = []

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselab import numerics
 from phaselab.compression import (
     compress_isometry,
     extend_to_isometry,
@@ -108,3 +111,23 @@ class TestOneQuerySimulation:
         )
         with pytest.raises(ValueError):
             verify_one_query_simulation(adv, 5, 5, rng.child(2))
+
+    def test_one_isometry_check_per_verification(self, monkeypatch):
+        calls = []
+        original = numerics.check_isometry
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phaselab") and getattr(module, "check_isometry", None) is original:
+                monkeypatch.setattr(module, "check_isometry", spy)
+        rng = RngStream(9)
+        V = random_isometry(4, 32, rng.child(0))
+        adv = AdversarySpec(V=V, Pi=random_projector(32, 16, rng.child(1)))
+        assert verify_one_query_simulation(adv, 8, 10, rng.child(2)) < 1e-10
+        assert len(calls) == 1
+        # The spec and its bare isometry give the same compression.
+        np.testing.assert_array_equal(compress_isometry(adv, 8, 4), compress_isometry(V, 8, 4))
+        assert len(calls) == 2

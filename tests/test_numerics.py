@@ -204,6 +204,51 @@ class TestOperatorNorm:
         assert operator_norm(2.0 * a) == pytest.approx(2.0 * operator_norm(a))
 
 
+class TestStackedOperatorNorm:
+    @staticmethod
+    def _stack(kind, count=40, seed=7):
+        g = RngStream(seed).generator()
+        shape = {"hermitian": (3, 3), "square": (3, 3), "tall": (5, 2), "wide": (2, 5), "mixed": (4, 4)}[kind]
+        a = g.standard_normal((count, *shape)) + 1j * g.standard_normal((count, *shape))
+        if kind in ("hermitian", "mixed"):
+            h = a + np.swapaxes(a.conj(), -1, -2)
+            a = h if kind == "hermitian" else np.where((np.arange(count) % 3 == 0)[:, None, None], h, a)
+        return a
+
+    @pytest.mark.parametrize("kind", ["hermitian", "square", "tall", "wide", "mixed"])
+    def test_equals_a_loop_of_single_calls_bit_for_bit(self, kind):
+        a = self._stack(kind)
+        loop = np.array([operator_norm(m) for m in a])
+        got = operator_norm(a)
+        assert isinstance(got, np.ndarray) and got.shape == (len(a),)
+        np.testing.assert_array_equal(got, loop)
+        np.testing.assert_array_equal(operator_norm(a.reshape(4, 10, *a.shape[1:])), loop.reshape(4, 10))
+        assert isinstance(operator_norm(a[0]), float)
+
+    def test_only_a_mixed_stack_is_copied(self, monkeypatch):
+        seen = TestOperatorNorm._eigvalsh_inputs(monkeypatch)
+        herm = self._stack("hermitian")
+        operator_norm(herm)
+        assert len(seen) == 1 and seen[0] is herm
+        seen.clear()
+        operator_norm(self._stack("mixed"))
+        assert [x.shape for x in seen] == [(14, 4, 4), (26, 4, 4)]
+
+    def test_budget_reads_the_last_two_dimensions(self):
+        assert operator_norm(np.ones((5000, 2, 2))).shape == (5000,)
+        with pytest.raises(CapacityError, match="4096"):
+            operator_norm(np.broadcast_to(np.float64(1.0), (1, NORM_MAX_DIM + 1, 2)))
+
+    def test_nan_anywhere_and_empty_stacks_are_rejected(self):
+        a = self._stack("square")
+        a[17, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm(a)
+        for bad in (np.zeros((0, 2, 2)), np.zeros((3, 0)), np.ones(3)):
+            with pytest.raises(ValueError):
+                operator_norm(bad)
+
+
 class TestRandomOperators:
     def test_isometry_columns_orthonormal(self):
         V = random_isometry(6, 10, RngStream(4))
@@ -265,6 +310,16 @@ class TestValidators:
     def test_isometry_rejects_nonisometry(self):
         with pytest.raises(ValueError):
             check_isometry(np.ones((3, 2)))
+
+    def test_strided_complex_views_are_accepted(self):
+        # A complex view whose last axis is not contiguous cannot be viewed as float64.
+        V = random_isometry(3, 8, RngStream(12))
+        wide = np.zeros((8, 6), dtype=np.complex128)
+        wide[:, ::2] = V
+        np.testing.assert_array_equal(check_isometry(wide[:, ::2]), V)
+        assert operator_norm(V.T) == pytest.approx(1.0, rel=1e-12)
+        P = random_projector(6, 2, RngStream(13))
+        check_projector(P.T.conj().T)
 
     def test_projector_rejects_nonidempotent(self):
         with pytest.raises(ValueError):

@@ -358,6 +358,44 @@ def _unit_states(N, K, seed):
     return out
 
 
+def _members(bits, L):
+    return [i for i in range(L) if (bits >> i) & 1]
+
+
+def _reference_sums(terms):
+    """sum(terms[i] for i in members) for every nonempty subset, in bit order."""
+    return [sum(terms[i] for i in _members(bits, len(terms))) for bits in range(1, 1 << len(terms))]
+
+
+def _reference_brute(terms):
+    """The per-subset loop: one 2-d norm of each subset's sum, the first best in bit order."""
+    best_val, best_set = 0.0, ()
+    for bits, total in enumerate(_reference_sums(terms), start=1):
+        val = operator_norm(total)
+        if val > best_val + 1e-15:
+            best_val, best_set = val, tuple(_members(bits, len(terms)))
+    return best_val, best_set
+
+
+def _reference_greedy(terms, restarts, rng):
+    """Greedy growth with one 2-d norm per candidate, the first improving one accepted."""
+    best_val, best_set = 0.0, ()
+    for r in range(restarts):
+        order = rng.child(r).generator().permutation(len(terms))
+        chosen, acc, val, improved = set(), np.zeros_like(terms[0]), 0.0, True
+        while improved:
+            improved = False
+            for i in (int(i) for i in order if int(i) not in chosen):
+                cand = operator_norm(acc + terms[i])
+                if cand > val + 1e-12:
+                    chosen.add(i)
+                    acc, val, improved = acc + terms[i], cand, True
+                    break
+        if val > best_val:
+            best_val, best_set = val, tuple(sorted(chosen))
+    return best_val, best_set
+
+
 class TestSubsetNormConjecture:
     def test_trivial_resolution_gives_zero(self):
         # A single projector equal to the identity has zero deviation.
@@ -394,3 +432,45 @@ class TestSubsetNormConjecture:
         projs = _projector_resolution(8, 8, 10)
         with pytest.raises(CapacityError):
             subset_norm_conjecture(projs, _unit_states(4, 2, 11), cutoff=4)
+
+    @pytest.mark.parametrize("N, P, L", [(4, 2, 1), (5, 2, 5), (6, 2, 12), (7, 4, 14)])
+    def test_brute_matches_the_per_subset_loop(self, N, P, L, monkeypatch):
+        projs = _projector_resolution(N * P, L, 20 + L)
+        states = _unit_states(N, 3, 40 + L)
+        stacks = []
+
+        def spy(m):
+            stacks.append(np.array(m))
+            return operator_norm(m)
+
+        monkeypatch.setattr(relaxations, "operator_norm", spy)
+        got = subset_norm_conjecture(projs, states, mode="brute")
+        terms = relaxations._subset_value_terms(projs, states)
+        assert got == _reference_brute(terms)
+        # Every subset's matrix is the sequential sum bit for bit, not just the best one's.
+        np.testing.assert_array_equal(np.concatenate(stacks)[1:], _reference_sums(terms))
+        # At P = 4 a block holds 2^12 subsets, so L = 14 takes four stacked norms.
+        assert len(stacks) == (4 if L == 14 else 1)
+
+    def test_greedy_matches_the_per_candidate_loop(self):
+        projs = _projector_resolution(12, 6, 50)
+        states = _unit_states(4, 3, 51)
+        terms = relaxations._subset_value_terms(projs, states)
+        got = subset_norm_conjecture(projs, states, mode="greedy", restarts=8, rng=RngStream(52))
+        assert got == _reference_greedy(terms, 8, RngStream(52))
+
+    def test_brute_is_the_same_on_one_and_two_threads(self, monkeypatch):
+        projs = _projector_resolution(28, 14, 60)
+        states = _unit_states(7, 2, 61)
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PHASELAB_THREADS", threads)
+            results.append(subset_norm_conjecture(projs, states, mode="brute"))
+        assert results[0] == results[1]
+
+    def test_oversize_brute_refused_before_building_terms(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(relaxations, "_subset_value_terms", lambda *a: built.append(a))
+        with pytest.raises(CapacityError):
+            subset_norm_conjecture(_projector_resolution(8, 8, 62), _unit_states(4, 2, 63), cutoff=4)
+        assert built == []
