@@ -91,7 +91,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.4.1"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",

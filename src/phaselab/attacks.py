@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import AdversarySpec, check_family, phase_state, random_family, simulate_game
-from .numerics import CapacityError, RngStream, check_unit_vector, tv_distance
+from .numerics import CapacityError, RngStream, check_unit_vector, span_basis, tv_distance
 
 __all__ = [
     "HadamardAttackReport",
@@ -151,11 +151,10 @@ def x_statistic(R) -> float:
     return float(np.mean(sums**2) / Rv.shape[1])
 
 
-def _orthonormal_span(columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span, rank detected at threshold tol."""
-    q, r = np.linalg.qr(columns)
-    keep = np.abs(np.diagonal(r)) > tol * max(1.0, float(np.abs(r).max()))
-    return q[:, keep]
+def _family_span(R) -> np.ndarray:
+    """Orthonormal basis of the span of the family's phase states."""
+    Rv = check_family(R)
+    return span_basis(np.stack([phase_state(row) for row in Rv], axis=1))[0]
 
 
 def omniscient_distinguisher(R) -> AdversarySpec:
@@ -165,19 +164,14 @@ def omniscient_distinguisher(R) -> AdversarySpec:
     rank/N on the random side, so with the trivial oracle its advantage is
     exactly 1 - rank/N -- the information-theoretic optimum for this family.
     """
-    Rv = check_family(R)
-    N = Rv.shape[1]
-    states = np.stack([phase_state(row) for row in Rv], axis=1)
-    q = _orthonormal_span(states)
-    Pi = q @ q.conj().T
-    return AdversarySpec(V=np.eye(N, dtype=np.complex128), Pi=Pi)
+    q = _family_span(R)
+    return AdversarySpec(V=np.eye(q.shape[0], dtype=np.complex128), Pi=q @ q.conj().T)
 
 
 def omniscient_advantage(R) -> float:
-    Rv = check_family(R)
-    states = np.stack([phase_state(row) for row in Rv], axis=1)
-    rank = _orthonormal_span(states).shape[1]
-    return 1.0 - rank / Rv.shape[1]
+    """1 - rank/N, the advantage of `omniscient_distinguisher` with the trivial oracle."""
+    q = _family_span(R)
+    return 1.0 - q.shape[1] / q.shape[0]
 
 
 def advice_state_adversary(Pi, advice) -> AdversarySpec:

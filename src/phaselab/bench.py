@@ -4,8 +4,9 @@ Each bench samples a random object, measures a norm or deviation, and compares
 empirical tail frequencies against the corresponding closed-form bound, with a
 3-sigma binomial allowance for finite samples.  The reference bounds are
 theorems, so a FAIL flags an implementation bug rather than new mathematics.
-Existential constants in the width and advantage tails are replaced by named,
-configurable test constants (conservative defaults documented inline).
+Thresholds are fixed module constants (relative to the bench's scale where it
+has one), and the existential constants in the width and advantage tails are
+the named module constants WIDTH_C_TEST and ADVANTAGE_C_TEST.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .decomposition import rescaling_diagonals, truncate_values, width
 from .game import (
     AdversarySpec,
     advantage_given_f,
-    check_signs,
     max_advantage_bruteforce,
     random_family,
     sign_rows,
@@ -44,6 +44,14 @@ __all__ = [
     "default_suite",
     "BENCHES",
 ]
+
+RADEMACHER_THRESHOLDS = (0.5, 1.0, 1.5)  # multiples of the mean bound (absolute when it is 0)
+HOEFFDING_THRESHOLDS = (0.5, 1.0, 2.0)  # multiples of sigma = sqrt(K) * norm_bound
+COMPLEX_THRESHOLDS = (1.0, 2.0, 3.0)
+WIDTH_THRESHOLDS = (0.5, 1.0, 2.0)  # excesses t, events {width >= 1 + t}
+WIDTH_C_TEST = 0.05  # stand-in for the width tail's existential constant; conservative
+ADVANTAGE_EPSILONS = (0.05, 0.1, 0.2)
+ADVANTAGE_C_TEST = 0.01  # stand-in for the advantage tail's existential constant
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ def _tail_report(name, values, thresholds, bounds, samples, extras=None) -> Tail
         for f, b in zip(freqs, bounds)
     )
     if extras:
-        ok = ok and all(extras.get(k, True) is not False for k in ("mean_ok",))
+        ok = ok and bool(extras.get("mean_ok", True))
     return TailReport(
         bound_name=name,
         thresholds=tuple(float(t) for t in thresholds),
@@ -89,9 +97,7 @@ def _tail_report(name, values, thresholds, bounds, samples, extras=None) -> Tail
     )
 
 
-def rademacher_series_bench(
-    coefficients, samples: int, rng: RngStream, thresholds=None
-) -> TailReport:
+def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailReport:
     """Random sign combinations Z = sum_k x_k C_k of fixed matrices.
 
     The matrix variance v(Z) = max(||sum C_k C_k^H||, ||sum C_k^H C_k||)
@@ -110,10 +116,7 @@ def rademacher_series_bench(
         operator_norm(sum(c.conj().T @ c for c in C)),
     )
     mean_bound = float(np.sqrt(2.0 * np.log(d1 + d2) * v))
-    if thresholds is None:
-        thresholds = [0.5 * mean_bound, mean_bound, 1.5 * mean_bound]
-        if mean_bound == 0.0:
-            thresholds = [0.5, 1.0, 1.5]
+    thresholds = [t * (mean_bound or 1.0) for t in RADEMACHER_THRESHOLDS]
 
     stacked = np.stack(C)
 
@@ -160,12 +163,7 @@ def truncated_conjugation_sampler(V, Pi, B: float):
 
 
 def matrix_hoeffding_bench(
-    sampler,
-    norm_bound: float,
-    K: int,
-    samples: int,
-    rng: RngStream,
-    thresholds=None,
+    sampler, norm_bound: float, K: int, samples: int, rng: RngStream
 ) -> TailReport:
     """Sums of K iid mean-zero Hermitian matrices with ||Z_k|| <= norm_bound.
 
@@ -178,9 +176,7 @@ def matrix_hoeffding_bench(
         raise ValueError("sampler must produce Hermitian matrices")
     D = probe.shape[0]
     sigma2 = K * norm_bound**2
-    if thresholds is None:
-        s = np.sqrt(sigma2)
-        thresholds = [0.5 * s, s, 2.0 * s]
+    thresholds = [t * np.sqrt(sigma2) for t in HOEFFDING_THRESHOLDS]
 
     def run_block(b, size):
         g = rng.child(b + 1).generator()
@@ -200,9 +196,7 @@ def matrix_hoeffding_bench(
     )
 
 
-def complex_hoeffding_bench(
-    weights, samples: int, rng: RngStream, thresholds=(1.0, 2.0, 3.0)
-) -> TailReport:
+def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport:
     """|S| for S = sum a_i b_i with random signs b_i and unit total weight.
 
     Tail reference: Pr[|S| >= t] <= 2 exp(-t^2 / 2); also validates the
@@ -217,7 +211,7 @@ def complex_hoeffding_bench(
         return np.abs(random_sign_array(rng.child(b).generator(), (size, a.size)) @ a)
 
     mags = np.concatenate(parallel_blocks(run_block, samples))
-    bounds = [min(1.0, 2.0 * np.exp(-(t**2) / 2.0)) for t in thresholds]
+    bounds = [min(1.0, 2.0 * np.exp(-(t**2) / 2.0)) for t in COMPLEX_THRESHOLDS]
     sq = mags**2
     se = float(sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
     extras = {
@@ -225,9 +219,7 @@ def complex_hoeffding_bench(
         "second_moment_se": se,
         "mean_ok": abs(float(sq.mean()) - 1.0) <= 3.0 * se + 1e-12,
     }
-    return _tail_report(
-        "complex-hoeffding", mags, thresholds, bounds, len(mags), extras
-    )
+    return _tail_report("complex-hoeffding", mags, COMPLEX_THRESHOLDS, bounds, len(mags), extras)
 
 
 def _over_families(value, K: int, N: int, samples: int, rng: RngStream) -> np.ndarray:
@@ -240,54 +232,38 @@ def _over_families(value, K: int, N: int, samples: int, rng: RngStream) -> np.nd
     return np.concatenate(parallel_blocks(run_block, samples))
 
 
-def width_tail_bench(
-    V,
-    K: int,
-    samples: int,
-    rng: RngStream,
-    thresholds=(0.5, 1.0, 2.0),
-    c_test: float = 0.05,
-) -> TailReport:
+def width_tail_bench(V, K: int, samples: int, rng: RngStream) -> TailReport:
     """Width of fresh random families against 2 M exp(-c min(t^2, t) K).
 
-    The constant in the theorem is existential; c_test is the configurable
-    stand-in (default 0.05, chosen conservative for desk-scale dimensions).
-    Thresholds are excesses t, i.e. events {width >= 1 + t}.
+    The constant in the theorem is existential; WIDTH_C_TEST stands in for it.
+    Thresholds are the excesses t of WIDTH_THRESHOLDS, events {width >= 1 + t}.
     """
     Vm = check_isometry(V)
     M, N = Vm.shape
     widths = _over_families(lambda R: width(Vm, R), K, N, samples, rng)
     excess = widths - 1.0
     bounds = [
-        min(1.0, 2.0 * M * np.exp(-c_test * min(t * t, t) * K)) for t in thresholds
+        min(1.0, 2.0 * M * np.exp(-WIDTH_C_TEST * min(t * t, t) * K))
+        for t in WIDTH_THRESHOLDS
     ]
-    extras = {"mean_width": float(widths.mean()), "c_test": c_test}
-    return _tail_report(
-        "width-tail", excess, thresholds, bounds, len(widths), extras
-    )
+    extras = {"mean_width": float(widths.mean()), "c_test": WIDTH_C_TEST}
+    return _tail_report("width-tail", excess, WIDTH_THRESHOLDS, bounds, len(widths), extras)
 
 
 def advantage_tail_bench(
-    adv: AdversarySpec,
-    K: int,
-    samples: int,
-    rng: RngStream,
-    epsilons=(0.05, 0.1, 0.2),
-    f=None,
-    mode: str = "fixed-f",
-    c_test: float = 0.01,
+    adv: AdversarySpec, K: int, samples: int, rng: RngStream, mode: str = "fixed-f"
 ) -> TailReport:
-    """Tail of the advantage over fresh random families.
+    """Tail of the advantage over fresh random families, at ADVANTAGE_EPSILONS.
 
     fixed-f mode measures Pr[gap(R | f) >= eps] against 2 exp(-c eps^2 K N)
-    (no-query regime: f is pinned in advance).  max-f mode brute-forces the
-    maximum over oracle functions (M <= 12) and measures the tail of the
-    excess over the sample mean against 4 exp(-c eps^2 K N).  c_test replaces
-    the existential constant.
+    at the all-ones oracle f (no-query regime: f is pinned in advance).  max-f
+    mode brute-forces the maximum over oracle functions (M <= 12) and
+    measures the tail of the excess over the sample mean against
+    4 exp(-c eps^2 K N).  ADVANTAGE_C_TEST replaces the existential constant c.
     """
     N = adv.N
     if mode == "fixed-f":
-        fv = check_signs(np.ones(adv.M) if f is None else f)
+        fv = np.ones(adv.M)
         value, scale = (lambda R: advantage_given_f(adv, R, fv)), 2.0
     elif mode == "max-f":
         if adv.M > 12:
@@ -298,10 +274,12 @@ def advantage_tail_bench(
 
     values = _over_families(value, K, N, samples, rng)
     tail = values if mode == "fixed-f" else values - values.mean()
-    bounds = [min(1.0, scale * np.exp(-c_test * e * e * K * N)) for e in epsilons]
-    extras = {"mode": mode, "c_test": c_test, "mean_advantage": float(values.mean())}
+    bounds = [
+        min(1.0, scale * np.exp(-ADVANTAGE_C_TEST * e * e * K * N)) for e in ADVANTAGE_EPSILONS
+    ]
+    extras = {"mode": mode, "c_test": ADVANTAGE_C_TEST, "mean_advantage": float(values.mean())}
     return _tail_report(
-        f"advantage-tail-{mode}", tail, epsilons, bounds, len(values), extras
+        f"advantage-tail-{mode}", tail, ADVANTAGE_EPSILONS, bounds, len(values), extras
     )
 
 

@@ -17,7 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .game import AdversarySpec
-from .numerics import RngStream, check_isometry, parallel_blocks, random_sign_array
+from .numerics import (
+    DERIVED_TOL,
+    RngStream,
+    check_isometry,
+    parallel_blocks,
+    random_sign_array,
+    span_basis,
+)
 
 __all__ = [
     "measurement_operators",
@@ -36,9 +43,9 @@ def measurement_operators(V, L: int, S: int) -> list[np.ndarray]:
     return [b.conj().T @ b for b in blocks]
 
 
-def _psd_sqrt(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    if np.min(vals) < -tol:
+    if np.min(vals) < -1e-12:
         raise ArithmeticError(f"matrix not PSD: eigenvalue {np.min(vals):.3e}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -54,22 +61,21 @@ def compress_isometry(V, L: int, S: int) -> np.ndarray:
     return out
 
 
-def extend_to_isometry(xs, ys, tol: float = 1e-8) -> np.ndarray:
+def extend_to_isometry(xs, ys) -> np.ndarray:
     """Isometry T with T x_i = y_i, given matching pairwise inner products.
 
     With X and Y the column stacks, T = (Y^H)^+ X^H maps span(xs) onto
     span(ys) isometrically because X^H X = Y^H Y; the orthogonal complements
-    are then paired up by any isometry to complete T.
+    are then paired up by any isometry to complete T.  The Gram matrices
+    must agree entrywise to DERIVED_TOL.
     """
     X = np.stack([np.asarray(x, dtype=np.complex128).ravel() for x in xs], axis=1)
     Y = np.stack([np.asarray(y, dtype=np.complex128).ravel() for y in ys], axis=1)
     d1, d2 = X.shape[0], Y.shape[0]
     if d1 > d2:
         raise ValueError(f"cannot isometrically embed dimension {d1} into {d2}")
-    gx = X.conj().T @ X
-    gy = Y.conj().T @ Y
-    dev = np.abs(gx - gy)
-    if dev.size and float(dev.max()) > tol:
+    dev = np.abs(X.conj().T @ X - Y.conj().T @ Y)
+    if dev.size and float(dev.max()) > DERIVED_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise ValueError(
             f"inner products do not match: worst pair ({i}, {j}) deviates by "
@@ -77,28 +83,12 @@ def extend_to_isometry(xs, ys, tol: float = 1e-8) -> np.ndarray:
         )
     T = np.linalg.pinv(Y.conj().T, rcond=1e-12) @ X.conj().T
     # Complete T with an isometry between the orthogonal complements of the spans.
-    qx = _span_basis(X)
-    qy = _span_basis(Y)
-    qx_perp = _complement_basis(qx, d1)
-    qy_perp = _complement_basis(qy, d2)
+    _, qx_perp = span_basis(X)
+    _, qy_perp = span_basis(Y)
     k = qx_perp.shape[1]
     if k > 0:
         T = T + qy_perp[:, :k] @ qx_perp.conj().T
     return T
-
-
-def _span_basis(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s.max(initial=0.0)))))
-    return u[:, :rank]
-
-
-def _complement_basis(q: np.ndarray, dim: int) -> np.ndarray:
-    u, s, _ = np.linalg.svd(np.eye(dim) - q @ q.conj().T)
-    rank = int(np.sum(s > 1e-9))
-    return u[:, :rank]
 
 
 def verify_one_query_simulation(

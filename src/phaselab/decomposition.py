@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AdversarySpec, check_family, check_signs
+from .game import AdversarySpec, check_signs, family_images
 from .numerics import ZERO_WEIGHT_TOL, isometry_weights
 
 __all__ = [
@@ -72,10 +72,7 @@ def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
         w = isometry_weights(V)  # also checks that V is an isometry
         Vm = np.asarray(V, dtype=np.complex128)
         mask = w <= ZERO_WEIGHT_TOL
-    Rv = check_family(R)
-    if Rv.shape[1] != Vm.shape[1]:
-        raise ValueError(f"family width {Rv.shape[1]} != N = {Vm.shape[1]}")
-    amps = (Vm @ (Rv.T / np.sqrt(Rv.shape[1]))).T  # K x M, <v_i|psi_k>
+    amps = family_images(Vm, R)  # K x M, <v_i|psi_k>
     scale = np.sqrt(np.where(mask, 1.0, w))
     D = amps / scale
     D[:, mask] = 0.0

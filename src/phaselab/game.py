@@ -38,8 +38,10 @@ from .numerics import (
 
 __all__ = [
     "AdversarySpec",
+    "check_bruteforce_size",
     "check_family",
     "check_signs",
+    "family_images",
     "random_family",
     "random_signs",
     "phase_state",
@@ -61,26 +63,33 @@ _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran s
 _TRIAL_BLOCK = 8192  # simulate_game trials per block, each with its own stream
 
 
+def _check_sign_array(values, ndim: int, what: str) -> np.ndarray:
+    """Validate and return a nonempty float64 +-1 array with ndim axes."""
+    a = np.asarray(values)
+    if a.ndim != ndim or a.size < 1:
+        raise ValueError(f"expected a {what}, got shape {a.shape}")
+    r = a.astype(np.float64)
+    if not np.all(np.abs(r) == 1.0):
+        raise ValueError(f"{what} entries must all be +1 or -1")
+    return r
+
+
 def check_signs(values) -> np.ndarray:
     """Validate and return a +-1 vector (a Boolean function in sign form)."""
-    a = np.asarray(values)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError(f"expected a 1-d sign vector, got shape {a.shape}")
-    f = a.astype(np.float64)
-    if not np.all(np.abs(f) == 1.0):
-        raise ValueError("sign vector entries must all be +1 or -1")
-    return f
+    return _check_sign_array(values, 1, "1-d sign vector")
 
 
 def check_family(values) -> np.ndarray:
     """Validate and return a K x N +-1 array (a function family)."""
-    a = np.asarray(values)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a K x N sign table, got shape {a.shape}")
-    r = a.astype(np.float64)
-    if not np.all(np.abs(r) == 1.0):
-        raise ValueError("family entries must all be +1 or -1")
-    return r
+    return _check_sign_array(values, 2, "K x N sign table")
+
+
+def check_bruteforce_size(m: int) -> None:
+    """Raise CapacityError if 2^m oracle functions exceed the exact search's BRUTEFORCE_CUTOFF."""
+    if m > BRUTEFORCE_CUTOFF:
+        raise CapacityError(
+            f"brute force over 2^{m} oracle functions exceeds the cutoff M = {BRUTEFORCE_CUTOFF}"
+        )
 
 
 def random_signs(length: int, rng: RngStream) -> np.ndarray:
@@ -127,6 +136,15 @@ class AdversarySpec:
         return self.V.shape[0]
 
 
+def family_images(V, R) -> np.ndarray:
+    """K x M matrix whose row k is V |psi_{R_k}>, for an M x N matrix V and a K x N family R."""
+    Rv = check_family(R)
+    N = V.shape[1]
+    if Rv.shape[1] != N:
+        raise ValueError(f"family width {Rv.shape[1]} != N = {N}")
+    return (V @ (Rv.T / np.sqrt(N))).T
+
+
 def phase_state(h) -> np.ndarray:
     """Binary phase state: amplitude h(x)/sqrt(L) at position x."""
     f = check_signs(h)
@@ -170,13 +188,10 @@ def advantage_given_f(adv: AdversarySpec, R, f) -> float:
     W is O_f V |psi_{R_k}>, and p_k = Re sum_i conj(W_ki) (Pi W_k)_i, checked
     and clamped per row as in `acceptance_probability`.
     """
-    Rv = check_family(R)
     fv = check_signs(f)
-    if Rv.shape[1] != adv.N:
-        raise ValueError(f"family width {Rv.shape[1]} != N = {adv.N}")
     if fv.size != adv.M:
         raise ValueError(f"oracle length {fv.size} != M = {adv.M}")
-    W = fv * (adv.V @ (Rv.T / np.sqrt(adv.N))).T
+    W = fv * family_images(adv.V, R)
     p = np.real(np.sum(W.conj() * (W @ adv.Pi.T), axis=1))
     bad = (p < -1e-9) | (p > 1 + 1e-9)
     if np.any(bad):
@@ -193,11 +208,8 @@ def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
     outer product by conj(V V^H)/N.  The signed gap is the quadratic form of
     the difference; its absolute value is the advantage at f.
     """
-    Rv = check_family(R)
-    if Rv.shape[1] != adv.N:
-        raise ValueError(f"family width {Rv.shape[1]} != N = {adv.N}")
-    U = (adv.V @ (Rv.T / np.sqrt(Rv.shape[1]))).T  # K x M, row k = V|psi_k>
-    outer = (U.conj().T @ U) / Rv.shape[0]  # E_k conj(u_i) u_j at (i, j)
+    U = family_images(adv.V, R)  # K x M, row k = V|psi_k>
+    outer = (U.conj().T @ U) / U.shape[0]  # E_k conj(u_i) u_j at (i, j)
     gram = adv.V @ adv.V.conj().T
     return adv.Pi * (outer - gram.conj() / adv.N)
 
@@ -244,31 +256,21 @@ def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
     return best_val, np.concatenate([Fa[i], Fb[j]])
 
 
-def max_advantage_bruteforce(adv_or_kernel, R=None, cutoff: int = BRUTEFORCE_CUTOFF):
+def max_advantage_bruteforce(adv: AdversarySpec, R):
     """Exact maximum advantage over all 2^M oracle functions.
 
     The sign symmetry gap(f) = gap(-f) halves the search by pinning f_1 = +1;
     the rest is the meet-in-the-middle search of `max_abs_quadratic` on
     Re(B), which is exact because f^T B f = f^T Re(B) f for real f.  Returns
     (advantage, maximizing f); ties break to the lexicographically first
-    maximizer.  Accepts either an adversary plus a family or a precomputed
-    kernel.
+    maximizer.  An M above BRUTEFORCE_CUTOFF is refused before B is built.
     """
-    if R is not None:
-        B = advantage_kernel(adv_or_kernel, R)
-    else:
-        B = np.asarray(adv_or_kernel, dtype=np.complex128)
-    m = B.shape[0]
-    if m > cutoff:
-        raise CapacityError(
-            f"brute force over 2^{m} oracle functions exceeds the cutoff "
-            f"M = {cutoff}; use max_advantage_localsearch instead"
-        )
-    return max_abs_quadratic(np.real(B))
+    check_bruteforce_size(adv.M)
+    return max_abs_quadratic(np.real(advantage_kernel(adv, R)))
 
 
 def max_advantage_localsearch(
-    adv_or_kernel, R=None, restarts: int = 20, rng: RngStream | None = None
+    adv: AdversarySpec, R, restarts: int = 20, rng: RngStream | None = None
 ):
     """Heuristic lower bound on the maximum advantage via sign-flip hill climbing.
 
@@ -279,12 +281,8 @@ def max_advantage_localsearch(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if rng is None:
-        rng = RngStream(0)
-    if R is not None:
-        B = advantage_kernel(adv_or_kernel, R)
-    else:
-        B = np.asarray(adv_or_kernel, dtype=np.complex128)
+    rng = RngStream(0) if rng is None else rng
+    B = advantage_kernel(adv, R)
     m = B.shape[0]
     diag = np.real(np.diagonal(B))
     best_val, best_f = -1.0, np.ones(m)

@@ -33,6 +33,7 @@ __all__ = [
     "check_isometry",
     "check_projector",
     "isometry_weights",
+    "span_basis",
     "thread_count",
     "parallel_blocks",
     "CapacityError",
@@ -92,7 +93,10 @@ def random_sign_array(g: np.random.Generator, shape) -> np.ndarray:
     RngStream; not a 32-bit one such as MT19937), read as little-endian bytes
     so a generator state gives the same signs on any machine; bit 1 is -1.
     """
-    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    dims = shape if isinstance(shape, tuple) else (shape,)
+    if any(d < 0 for d in dims):
+        raise ValueError(f"sign array dimensions must be nonnegative, got {shape}")
+    n = math.prod(dims)
     words = g.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
     out = np.unpackbits(words.view(np.uint8), count=n).astype(np.float64)
     out *= -2.0
@@ -218,18 +222,25 @@ def tv_distance(p, q) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def check_unit_vector(v, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def span_basis(A) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of A's column span and of its complement, from one full SVD."""
+    u, s, _ = np.linalg.svd(np.asarray(A, dtype=np.complex128))
+    rank = int(np.sum(s > 1e-12 * max(1.0, float(s.max(initial=0.0)))))
+    return u[:, :rank], u[:, rank:]
+
+
+def check_unit_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128).ravel()
     nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > tol * 10:
+    if abs(nrm - 1.0) > STRUCTURAL_TOL * 10:
         raise ValueError(f"not a unit vector: norm {nrm}")
     return a
 
 
-def check_isometry(v, tol: float = DERIVED_TOL) -> np.ndarray:
+def check_isometry(v) -> np.ndarray:
     a = _as_matrix(v)
     resid = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))))
-    if resid > tol:
+    if resid > DERIVED_TOL:
         raise ValueError(f"not an isometry: max |V^H V - Id| = {resid:.3e}")
     return a
 
@@ -240,13 +251,13 @@ def isometry_weights(V) -> np.ndarray:
     return np.sum(np.abs(Vm) ** 2, axis=1) / Vm.shape[1]
 
 
-def check_projector(p, tol: float = DERIVED_TOL) -> np.ndarray:
+def check_projector(p) -> np.ndarray:
     a = _as_matrix(p)
     if a.shape[0] != a.shape[1]:
         raise ValueError("projector must be square")
     herm = float(np.max(np.abs(a - a.conj().T)))
     idem = float(np.max(np.abs(a @ a - a)))
-    if herm > tol or idem > tol:
+    if herm > DERIVED_TOL or idem > DERIVED_TOL:
         raise ValueError(
             f"not a projector: hermiticity residual {herm:.3e}, "
             f"idempotence residual {idem:.3e}"

@@ -18,11 +18,11 @@ import numpy as np
 
 from .decomposition import rescaling_diagonals, truncate_values
 from .game import (
-    BRUTEFORCE_CUTOFF,
     AdversarySpec,
     advantage_kernel,
-    check_family,
+    check_bruteforce_size,
     check_signs,
+    family_images,
     max_abs_quadratic,
 )
 from .numerics import CapacityError, RngStream, operator_norm, parallel_blocks, random_sign_array
@@ -35,10 +35,12 @@ __all__ = [
     "decoupled_advantage_given_f",
     "max_decoupled_bruteforce",
     "subset_norm_conjecture",
+    "SUBSET_CUTOFF",
 ]
 
 TRUNCATED_BATCHES = 10  # Monte Carlo batches of the truncated relaxation's all-h correction
 SUBSET_BLOCK = 1 << 16  # matrix entries per block of subset sums: 1 MiB of complex128
+SUBSET_CUTOFF = 20  # most projectors whose 2^L subsets the brute-force mode enumerates
 
 
 def _weight_basis(adv: AdversarySpec, kernel: np.ndarray) -> np.ndarray:
@@ -87,8 +89,7 @@ def truncated_spectral_relaxation(
     """
     if samples < TRUNCATED_BATCHES:
         raise ValueError(f"need at least {TRUNCATED_BATCHES} samples, one per batch; got {samples}")
-    if rng is None:
-        rng = RngStream(0)
+    rng = RngStream(0) if rng is None else rng
     plain = _weight_basis(adv, advantage_kernel(adv, R))
     D, _ = rescaling_diagonals(adv, R)
     family_gain = _clip_gain(D, B) / len(D)
@@ -116,16 +117,10 @@ def decoupled_spectral_relaxation(adv: AdversarySpec, R, Rp) -> float:
 
 def decoupled_kernel(adv: AdversarySpec, R, Rp) -> np.ndarray:
     """M x M kernel C with  f^T C f = E_k <psi_k| V^H O_f Pi O_f V |psi'_k>."""
-    Rv = check_family(R)
-    Rpv = check_family(Rp)
-    if Rv.shape != Rpv.shape:
-        raise ValueError(f"family shapes differ: {Rv.shape} vs {Rpv.shape}")
-    if Rv.shape[1] != adv.N:
-        raise ValueError(f"family width {Rv.shape[1]} != N = {adv.N}")
-    sqrtN = np.sqrt(Rv.shape[1])
-    U = (adv.V @ (Rv.T / sqrtN)).T
-    Up = (adv.V @ (Rpv.T / sqrtN)).T
-    return adv.Pi * (U.conj().T @ Up) / Rv.shape[0]
+    U, Up = family_images(adv.V, R), family_images(adv.V, Rp)
+    if U.shape != Up.shape:
+        raise ValueError(f"family shapes differ: {U.shape[0]} vs {Up.shape[0]} rows")
+    return adv.Pi * (U.conj().T @ Up) / U.shape[0]
 
 
 def decoupled_advantage_given_f(adv: AdversarySpec, R, Rp, f) -> float:
@@ -135,21 +130,17 @@ def decoupled_advantage_given_f(adv: AdversarySpec, R, Rp, f) -> float:
     return float(np.abs(fv @ (C @ fv)))
 
 
-def max_decoupled_bruteforce(adv: AdversarySpec, R, Rp, cutoff: int = BRUTEFORCE_CUTOFF):
+def max_decoupled_bruteforce(adv: AdversarySpec, R, Rp):
     """Exact max over oracle functions of the decoupled advantage.
 
     The kernel is generally non-Hermitian, so the quadratic form is complex;
     the maximized quantity is its modulus.  Sign symmetry halves the search;
     `max_abs_quadratic` runs it meet-in-the-middle in O(2^(M/2)) memory, ties
-    breaking to the lexicographically first maximizer.
+    breaking to the lexicographically first maximizer.  An M above
+    BRUTEFORCE_CUTOFF is refused before the kernel is built.
     """
-    C = decoupled_kernel(adv, R, Rp)
-    m = C.shape[0]
-    if m > cutoff:
-        raise CapacityError(
-            f"brute force over 2^{m} oracle functions exceeds the cutoff {cutoff}"
-        )
-    return max_abs_quadratic(C)
+    check_bruteforce_size(adv.M)
+    return max_abs_quadratic(decoupled_kernel(adv, R, Rp))
 
 
 def _subset_value_terms(projectors, states) -> list[np.ndarray]:
@@ -198,17 +189,16 @@ def subset_norm_conjecture(
     mode: str = "brute",
     restarts: int = 32,
     rng: RngStream | None = None,
-    cutoff: int = 20,
 ):
     """Maximize || sum_{i in S} deviation-term_i ||_op over subsets S.
 
-    'brute' enumerates all 2^L subsets (L <= cutoff), ties to the first in bit
+    'brute' enumerates all 2^L subsets (L <= SUBSET_CUTOFF), ties to the first in bit
     order; 'greedy' grows S by single-index additions, accepting the first
     improving move, with random restart orders.  Returns (value, sorted witness).
     """
     L = len(projectors)
-    if mode == "brute" and L > cutoff:
-        raise CapacityError(f"2^{L} subsets exceed the brute-force cutoff {cutoff}")
+    if mode == "brute" and L > SUBSET_CUTOFF:
+        raise CapacityError(f"2^{L} subsets exceed the brute-force cutoff {SUBSET_CUTOFF}")
     if mode not in ("brute", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     terms = np.stack(_subset_value_terms(projectors, states))

@@ -147,6 +147,25 @@ class TestOmniscient:
         for k in range(3):
             assert acceptance_probability(adv, R[k], f) == pytest.approx(1.0)
 
+    def test_repeated_row_before_a_new_one(self):
+        # Rank 2: the new row comes after a repeat, where a rank read off the
+        # diagonal of an unpivoted QR drops it (acceptance 0.556, advantage 0.352).
+        R = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1]], dtype=np.float64)
+        adv = omniscient_distinguisher(R)
+        f = np.ones(adv.M)
+        for row in R:
+            assert acceptance_probability(adv, row, f) == pytest.approx(1.0, abs=1e-12)
+        assert advantage_given_f(adv, R, f) == pytest.approx(0.5, abs=1e-12)
+        assert omniscient_advantage(R) == 0.5
+
+    def test_advantage_is_one_minus_rank_over_n(self):
+        for seed in range(50):
+            R = random_family(16, 4, RngStream(200 + seed))
+            want = 1.0 - np.linalg.matrix_rank(R) / 4
+            assert omniscient_advantage(R) == want
+            adv = omniscient_distinguisher(R)
+            assert advantage_given_f(adv, R, np.ones(4)) == pytest.approx(want, abs=1e-12)
+
 
 class TestAdviceStateAdversary:
     def test_projector_and_isometry_valid(self):

@@ -39,6 +39,18 @@ class TestTailReport:
             )
 
 
+class TestTailReportVerdict:
+    @pytest.mark.parametrize(
+        "mean_ok, passed", [(True, True), (False, False), (np.True_, True), (np.False_, False)]
+    )
+    def test_mean_ok_is_read_as_a_truth_value(self, mean_ok, passed):
+        rep = bench._tail_report("x", np.zeros(10), [1.0], [1.0], 10, {"mean_ok": mean_ok})
+        assert rep.passed is passed
+
+    def test_tail_breach_fails_without_extras(self):
+        assert not bench._tail_report("x", np.ones(100), [0.5], [0.01], 100).passed
+
+
 class TestRademacherSeries:
     def _coeffs(self, seed, count=6, dim=5):
         g = RngStream(seed).generator()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from phaselab import cli, relaxations
 from phaselab.bench import BENCHES
 from phaselab.cli import ExperimentConfig, _build_parser, load_instance, main, run, save_instance
-from phaselab.game import AdversarySpec, random_family
+from phaselab.game import BRUTEFORCE_CUTOFF, AdversarySpec, random_family
 from phaselab.numerics import RngStream, random_isometry, random_projector
 
 
@@ -250,6 +250,36 @@ class TestMain:
         if len(values) == 2:
             # Both sum their terms, in different orders: allow rounding.
             assert values["brute"] >= values["greedy"] - 1e-12
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12) | st.just(29),
+        st.integers(min_value=-2, max_value=4),
+        st.none() | st.integers(min_value=-1, max_value=13),
+        st.integers(min_value=-1, max_value=200),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_game_argument_vectors(self, N, M, K, rank, trials, localsearch):
+        argv = ["game", "--N", str(N), "--M", str(M), "--K", str(K), "--trials", str(trials)]
+        argv += ["--seed", "1"] + ([] if rank is None else ["--rank", str(rank)])
+        argv += ["--localsearch"] if localsearch else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            record = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert err.getvalue() == ""
+            exact = M <= BRUTEFORCE_CUTOFF and not localsearch
+            assert (record["values"]["bound"] == "exact") == exact
+
+    def test_negative_family_size_is_invalid_input(self, capsys):
+        code = main(["game", "--K", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "sign array dimensions must be nonnegative" in captured.err
+        assert captured.out == ""
 
     def test_oversize_relaxation_refused_before_drawing(self, monkeypatch, capsys):
         drawn = []

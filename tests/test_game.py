@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselab import game
 from phaselab.game import (
     BRUTEFORCE_CUTOFF,
     AdversarySpec,
@@ -15,6 +16,7 @@ from phaselab.game import (
     check_signs,
     haar_average_acceptance,
     kernel_quadratic_form,
+    max_abs_quadratic,
     max_advantage_bruteforce,
     max_advantage_localsearch,
     phase_state,
@@ -163,11 +165,14 @@ class TestAdvantageKernel:
 
 class TestBruteForce:
     def test_m2_hand_enumeration(self):
-        # With M = 2 only f = (+1, +1) and (+1, -1) matter (global flip).
+        # With M = 2 only f = (+1, +1) and (+1, -1) matter (global flip).  The
+        # family repeats one state up to sign: a family holding both N = 2 phase
+        # states averages to Id/2, so both candidates would give 0 up to rounding.
         adv = _random_adversary(2, 2, 1, 30)
-        R = random_family(2, 2, RngStream(31))
+        R = random_family(2, 2, RngStream(32))
         candidates = [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
         vals = [advantage_given_f(adv, R, f) for f in candidates]
+        assert abs(vals[0] - vals[1]) > 1e-9
         best, f = max_advantage_bruteforce(adv, R)
         assert best == pytest.approx(max(vals), abs=1e-14)
         np.testing.assert_array_equal(f, candidates[int(np.argmax(vals))])
@@ -187,23 +192,24 @@ class TestBruteForce:
     def test_matches_lexicographic_enumeration(self, m):
         n = max(1, m // 2)
         adv = _random_adversary(n, m, n, 60 + m)
-        B = advantage_kernel(adv, random_family(3, n, RngStream(70 + m)))
-        ref_val, ref_f = _lexfirst_max(B)
-        best, f = max_advantage_bruteforce(B)
+        R = random_family(3, n, RngStream(70 + m))
+        ref_val, ref_f = _lexfirst_max(advantage_kernel(adv, R))
+        best, f = max_advantage_bruteforce(adv, R)
         assert best == pytest.approx(ref_val, abs=1e-12)
         np.testing.assert_array_equal(f, ref_f)
 
     @pytest.mark.parametrize("B", [np.zeros((5, 5)), np.diag([0.3, -0.1, 0.25, 0.0, -0.05])])
     def test_ties_break_to_all_ones(self, B):
-        best, f = max_advantage_bruteforce(B)
+        best, f = max_abs_quadratic(B)
         assert best == pytest.approx(abs(np.trace(B)), abs=1e-15)
         np.testing.assert_array_equal(f, np.ones(5))
 
     def test_dominates_localsearch_at_cutoff(self):
         adv = _random_adversary(8, BRUTEFORCE_CUTOFF, BRUTEFORCE_CUTOFF // 2, 46)
-        B = advantage_kernel(adv, random_family(4, 8, RngStream(47)))
-        best, f = max_advantage_bruteforce(B)
-        local, _ = max_advantage_localsearch(B, rng=RngStream(48))
+        R = random_family(4, 8, RngStream(47))
+        B = advantage_kernel(adv, R)
+        best, f = max_advantage_bruteforce(adv, R)
+        local, _ = max_advantage_localsearch(adv, R, rng=RngStream(48))
         assert abs(kernel_quadratic_form(B, f)) == pytest.approx(best, abs=1e-12)
         assert best >= local - 1e-12
 
@@ -212,10 +218,13 @@ class TestBruteForce:
         _, f = max_advantage_bruteforce(adv, random_family(3, 4, RngStream(43)))
         assert f[0] == 1.0
 
-    def test_cutoff_raises_capacity_error(self):
-        adv = _random_adversary(4, 8, 4, 44)
-        with pytest.raises(CapacityError):
-            max_advantage_bruteforce(adv, random_family(2, 4, RngStream(45)), cutoff=6)
+    def test_cutoff_raises_capacity_error(self, monkeypatch):
+        adv = _random_adversary(4, BRUTEFORCE_CUTOFF + 1, 4, 44)
+        built = []
+        monkeypatch.setattr(game, "advantage_kernel", lambda *a: built.append(a))
+        with pytest.raises(CapacityError, match=f"cutoff M = {BRUTEFORCE_CUTOFF}"):
+            max_advantage_bruteforce(adv, random_family(2, 4, RngStream(45)))
+        assert built == []
 
 
 class TestLocalSearch:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import phaselab
@@ -32,3 +33,36 @@ def test_detects_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .game import _BLOCK, sign_rows\nfrom . import __version__\n")
     assert _private_imports(probe) == [("game", "_BLOCK")]
+
+
+def _public_defs_and_all(path):
+    """(public top-level def and class names, names listed in __all__) of a module."""
+    tree = ast.parse(path.read_text())
+    defs = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            listed = set(ast.literal_eval(node.value))
+    return defs, listed
+
+
+def test_every_public_def_is_in_all_and_every_listed_name_exists():
+    for path in sorted(SRC.glob("*.py")):
+        defs, listed = _public_defs_and_all(path)
+        assert listed, f"{path.name} has no __all__"
+        assert defs <= listed, (path.name, sorted(defs - listed))
+        name = "phaselab" if path.stem == "__init__" else f"phaselab.{path.stem}"
+        module = importlib.import_module(name)
+        assert [n for n in listed if not hasattr(module, n)] == [], path.name
+
+
+def test_detects_a_public_def_missing_from_all(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('__all__ = ["listed"]\ndef listed(): pass\ndef unlisted(): pass\nx = 1\n')
+    assert _public_defs_and_all(probe) == ({"listed", "unlisted"}, {"listed"})

@@ -15,6 +15,7 @@ from phaselab.numerics import (
     random_isometry,
     random_projector,
     random_sign_array,
+    span_basis,
     thread_count,
     tv_distance,
 )
@@ -58,6 +59,11 @@ class TestRandomSignArray:
         # A shorter draw from the same state is a prefix of a longer one.
         c = random_sign_array(RngStream(2).generator(), 64)
         np.testing.assert_array_equal(a.ravel(), c[:15])
+
+    @pytest.mark.parametrize("shape", [-1, (-1, 4), (4, -2)])
+    def test_negative_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_sign_array(RngStream(4).generator(), shape)
 
     def test_mean_and_lag_one_correlation_vanish(self):
         n = 100_000
@@ -276,6 +282,27 @@ class TestRandomOperators:
     def test_projector_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             random_projector(4, 5, RngStream(0))
+
+
+class TestSpanBasis:
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_bases_split_the_space_at_the_rank(self, n, k, rank, seed):
+        g = RngStream(seed).generator()
+        rank = min(rank, n, k)
+        A = g.standard_normal((n, rank)) @ g.standard_normal((rank, k))
+        basis, complement = span_basis(A)
+        assert basis.shape == (n, np.linalg.matrix_rank(A))
+        assert complement.shape == (n, n - basis.shape[1])
+        Q = np.hstack([basis, complement])
+        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(n), atol=1e-12)
+        # The basis spans A's columns: projecting onto it leaves them unchanged.
+        np.testing.assert_allclose(basis @ (basis.conj().T @ A), A, atol=1e-10)
+
+    def test_repeated_column_before_a_new_one(self):
+        A = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1]], dtype=np.float64).T
+        basis, complement = span_basis(A)
+        assert (basis.shape, complement.shape) == ((4, 2), (4, 2))
 
 
 class TestTvDistance:

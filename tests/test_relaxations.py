@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from phaselab import numerics, relaxations
 from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import (
+    BRUTEFORCE_CUTOFF,
     AdversarySpec,
     advantage_given_f,
     advantage_kernel,
@@ -301,6 +302,15 @@ class TestDecoupled:
         assert best == pytest.approx(ref_val, abs=1e-12)
         np.testing.assert_array_equal(f, ref_f)
 
+    def test_bruteforce_cutoff_refused_before_building_the_kernel(self, monkeypatch):
+        adv = _random_adversary(4, BRUTEFORCE_CUTOFF + 1, 4, 113)
+        R, Rp = random_family(2, 4, RngStream(114)), random_family(2, 4, RngStream(115))
+        built = []
+        monkeypatch.setattr(relaxations, "decoupled_kernel", lambda *a: built.append(a))
+        with pytest.raises(CapacityError, match=f"cutoff M = {BRUTEFORCE_CUTOFF}"):
+            max_decoupled_bruteforce(adv, R, Rp)
+        assert built == []
+
     def test_bruteforce_zero_kernel_breaks_ties_to_all_ones(self):
         adv = AdversarySpec(V=random_isometry(3, 5, RngStream(110)), Pi=np.zeros((5, 5)))
         best, f = max_decoupled_bruteforce(
@@ -428,10 +438,11 @@ class TestSubsetNormConjecture:
         with pytest.raises(ValueError):
             subset_norm_conjecture(projs, [np.ones(4)])
 
-    def test_brute_cutoff(self):
+    def test_brute_cutoff(self, monkeypatch):
         projs = _projector_resolution(8, 8, 10)
-        with pytest.raises(CapacityError):
-            subset_norm_conjecture(projs, _unit_states(4, 2, 11), cutoff=4)
+        monkeypatch.setattr(relaxations, "SUBSET_CUTOFF", 4)
+        with pytest.raises(CapacityError, match="cutoff 4"):
+            subset_norm_conjecture(projs, _unit_states(4, 2, 11))
 
     @pytest.mark.parametrize("N, P, L", [(4, 2, 1), (5, 2, 5), (6, 2, 12), (7, 4, 14)])
     def test_brute_matches_the_per_subset_loop(self, N, P, L, monkeypatch):
@@ -471,6 +482,7 @@ class TestSubsetNormConjecture:
     def test_oversize_brute_refused_before_building_terms(self, monkeypatch):
         built = []
         monkeypatch.setattr(relaxations, "_subset_value_terms", lambda *a: built.append(a))
+        monkeypatch.setattr(relaxations, "SUBSET_CUTOFF", 4)
         with pytest.raises(CapacityError):
-            subset_norm_conjecture(_projector_resolution(8, 8, 62), _unit_states(4, 2, 63), cutoff=4)
+            subset_norm_conjecture(_projector_resolution(8, 8, 62), _unit_states(4, 2, 63))
         assert built == []
