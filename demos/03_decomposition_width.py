@@ -20,13 +20,15 @@ V = pl.random_isometry(N, M, rng.child(0))
 R = pl.random_family(K, N, rng.child(1))
 h = R[0]
 
-# The factorization, verified to machine precision.
-D = pl.rescaling_matrix(V, h)
-wt = pl.weight_vector(pl.isometry_weights(V))
-residual = np.max(np.abs(D.dense() @ wt - V @ pl.phase_state(h)))
+# The factorization, verified to machine precision: D_h is diagonal, so
+# D_h |wt_V> is the entrywise product of its diagonal with sqrt(weights).
+D, mask = pl.rescaling_diagonals(V, h[None])
+d = D[0]
+wt = np.sqrt(pl.isometry_weights(V))
+residual = np.max(np.abs(d * wt - V @ pl.phase_state(h)))
 print(f"reconstruction residual |D wt - V psi|_max = {residual:.2e}")
 
-mags = np.abs(D.diagonal[~D.mask])
+mags = np.abs(d[~mask])
 print(f"diagonal magnitudes: mean^2 {np.mean(mags**2):.3f}, max {mags.max():.3f}")
 
 w = pl.width(V, R)
@@ -36,14 +38,13 @@ print(f"width of the same family under the identity: "
 
 # Truncation clips outlier diagonal entries while preserving phases.
 B = 2.0
-DB = pl.truncate_rescaling(D, B)
 print(f"after truncation at B={B}: max magnitude "
-      f"{np.max(np.abs(DB.diagonal)):.3f}, "
+      f"{np.max(np.abs(pl.truncate_values(d, B))):.3f}, "
       f"B-bounded family: {pl.is_b_bounded(V, R, B)}")
 
-# Width concentrates as K grows.
+# Width concentrates as K grows; a stack of families gives one width each.
 print("\nmean width over 50 fresh families:")
 for K in (8, 32, 128):
-    ws = [pl.width(V, pl.random_family(K, N, rng.child(2).child(K * 100 + i)))
-          for i in range(50)]
-    print(f"  K={K:4d}: {np.mean(ws):.4f}")
+    stack = np.stack([pl.random_family(K, N, rng.child(2).child(K * 100 + i))
+                      for i in range(50)])
+    print(f"  K={K:4d}: {np.mean(pl.width(V, stack)):.4f}")

@@ -37,18 +37,13 @@ from .game import (
     max_advantage_localsearch,
     phase_state,
     random_family,
-    random_signs,
     simulate_game,
 )
 from .decomposition import (
-    RescalingMatrix,
     is_b_bounded,
     isometry_weights,
     rescaling_diagonals,
-    rescaling_matrix,
-    truncate_rescaling,
     truncate_values,
-    weight_vector,
     width,
 )
 from .relaxations import (
@@ -91,7 +86,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",
@@ -119,17 +114,12 @@ __all__ = [
     "max_advantage_localsearch",
     "phase_state",
     "random_family",
-    "random_signs",
     "simulate_game",
     # decomposition
-    "RescalingMatrix",
     "is_b_bounded",
     "isometry_weights",
     "rescaling_diagonals",
-    "rescaling_matrix",
-    "truncate_rescaling",
     "truncate_values",
-    "weight_vector",
     "width",
     # relaxations
     "decoupled_advantage_given_f",

@@ -25,7 +25,6 @@ from .game import (
 )
 from .numerics import (
     RngStream,
-    check_isometry,
     operator_norm,
     parallel_blocks,
     random_isometry,
@@ -222,12 +221,11 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
     return _tail_report("complex-hoeffding", mags, COMPLEX_THRESHOLDS, bounds, len(mags), extras)
 
 
-def _over_families(value, K: int, N: int, samples: int, rng: RngStream) -> np.ndarray:
-    """value(R) over `samples` fresh K x N families, one generator per block."""
+def _over_families(values, K: int, N: int, samples: int, rng: RngStream) -> np.ndarray:
+    """values(stack) over `samples` fresh K x N families, one generator and one stack per block."""
 
     def run_block(b, size):
-        families = random_family(size * K, N, rng.child(b)).reshape(size, K, N)
-        return np.array([value(R) for R in families])
+        return values(random_family(size * K, N, rng.child(b)).reshape(size, K, N))
 
     return np.concatenate(parallel_blocks(run_block, samples))
 
@@ -237,10 +235,10 @@ def width_tail_bench(V, K: int, samples: int, rng: RngStream) -> TailReport:
 
     The constant in the theorem is existential; WIDTH_C_TEST stands in for it.
     Thresholds are the excesses t of WIDTH_THRESHOLDS, events {width >= 1 + t}.
+    Each block of families is one stacked `width` call, so V is checked once per block.
     """
-    Vm = check_isometry(V)
-    M, N = Vm.shape
-    widths = _over_families(lambda R: width(Vm, R), K, N, samples, rng)
+    M, N = np.shape(V)
+    widths = _over_families(lambda stack: width(V, stack), K, N, samples, rng)
     excess = widths - 1.0
     bounds = [
         min(1.0, 2.0 * M * np.exp(-WIDTH_C_TEST * min(t * t, t) * K))
@@ -272,7 +270,7 @@ def advantage_tail_bench(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    values = _over_families(value, K, N, samples, rng)
+    values = _over_families(lambda stack: np.array([value(R) for R in stack]), K, N, samples, rng)
     tail = values if mode == "fixed-f" else values - values.mean()
     bounds = [
         min(1.0, scale * np.exp(-ADVANTAGE_C_TEST * e * e * K * N)) for e in ADVANTAGE_EPSILONS

@@ -15,48 +15,19 @@ here takes V or an AdversarySpec, whose weights and mask are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .game import AdversarySpec, check_signs, family_images
+from .game import AdversarySpec, family_images
 from .numerics import ZERO_WEIGHT_TOL, isometry_weights
 
 __all__ = [
     "ZERO_WEIGHT_TOL",
-    "RescalingMatrix",
     "isometry_weights",
-    "weight_vector",
-    "rescaling_matrix",
     "rescaling_diagonals",
-    "truncate_rescaling",
     "truncate_values",
     "width",
     "is_b_bounded",
 ]
-
-
-@dataclass(frozen=True)
-class RescalingMatrix:
-    """Diagonal rescaling matrix, stored as its diagonal plus a zero-weight mask."""
-
-    diagonal: np.ndarray  # complex, length M
-    mask: np.ndarray  # bool, length M; True where the weight is (numerically) zero
-
-    @property
-    def M(self) -> int:
-        return self.diagonal.size
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-def weight_vector(weights) -> np.ndarray:
-    """Unit vector with amplitudes sqrt(wt_i)."""
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    return np.sqrt(w).astype(np.complex128)
 
 
 def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
@@ -79,13 +50,6 @@ def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
     return D, mask
 
 
-def rescaling_matrix(V, h) -> RescalingMatrix:
-    """Diagonal D_{V,h} with V |psi_h> = D_{V,h} |wt_V>."""
-    hv = check_signs(h)
-    D, mask = rescaling_diagonals(V, hv[None, :])
-    return RescalingMatrix(diagonal=D[0], mask=mask)
-
-
 def truncate_values(values: np.ndarray, B: float) -> np.ndarray:
     """Clip complex values to magnitude B, preserving phase."""
     if B <= 0:
@@ -97,18 +61,22 @@ def truncate_values(values: np.ndarray, B: float) -> np.ndarray:
     return clipped
 
 
-def truncate_rescaling(D: RescalingMatrix, B: float) -> RescalingMatrix:
-    return RescalingMatrix(diagonal=truncate_values(D.diagonal, B), mask=D.mask)
+def width(V, R):
+    """max over unmasked i of (1/K) sum_k |<v_i|psi_{R_k}>|^2 / wt_i.
 
-
-def width(V, R) -> float:
-    """max over unmasked i of (1/K) sum_k |<v_i|psi_{R_k}>|^2 / wt_i."""
-    D, mask = rescaling_diagonals(V, R)
-    col_means = np.mean(np.abs(D) ** 2, axis=0)
-    active = ~mask
-    if not np.any(active):
+    R is one K x N family (gives a float) or a stack of shape (..., K, N) (gives
+    an array of shape (...), one width per family), through one
+    `rescaling_diagonals` call, so V is checked once for the whole stack.
+    """
+    Rv = np.asarray(R)
+    if Rv.ndim < 2:
+        raise ValueError(f"expected a K x N sign table or a stack of them, got shape {Rv.shape}")
+    D, mask = rescaling_diagonals(V, Rv.reshape(-1, Rv.shape[-1]))
+    if mask.all():
         raise ValueError("isometry has no rows with nonzero weight")
-    return float(np.max(col_means[active]))
+    col_means = np.mean(np.abs(D.reshape(*Rv.shape[:-1], -1)) ** 2, axis=-2)
+    widths = np.max(col_means[..., ~mask], axis=-1)
+    return float(widths) if Rv.ndim == 2 else widths
 
 
 def is_b_bounded(V, R, B: float) -> bool:

@@ -6,12 +6,14 @@ is a triple (M, V, Pi): an isometry V from dimension N into dimension M, one
 query to a diagonal +-1 phase oracle O_f on the larger space, and a final
 projective measurement Pi.  Its acceptance probability on a phase state is
 
-    p(h | f) = <psi_h| V^H O_f Pi O_f V |psi_h>,
+    p(h | f) = <psi_h| V^H O_f Pi O_f V |psi_h> = h^T Q_f h / N,
 
-and its distinguishing advantage on a family R is the gap between the average
-acceptance over the family's states and the acceptance averaged over all
-phase states (the latter has the closed form tr(V^H O_f Pi O_f V) / N, since
-a uniformly random phase state averages to the maximally mixed state).
+with the real N x N form Q_f = Re((O_f V)^H Pi (O_f V)) (phase states have
+real amplitudes, so the imaginary part cancels).  Its distinguishing advantage
+on a family R is the gap between the average acceptance over the family's
+states and the acceptance averaged over all phase states, tr(Q_f) / N, since a
+uniformly random phase state averages to the maximally mixed state.  Every
+acceptance probability in this module comes from Q_f.
 
 Everything that maximizes over oracle functions goes through a single M x M
 Hermitian kernel B with  gap(f) = f^T B f, so each candidate f costs one
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    DERIVED_TOL,
     ZERO_WEIGHT_TOL,
     CapacityError,
     RngStream,
@@ -43,7 +46,6 @@ __all__ = [
     "check_signs",
     "family_images",
     "random_family",
-    "random_signs",
     "phase_state",
     "acceptance_probability",
     "haar_average_acceptance",
@@ -90,11 +92,6 @@ def check_bruteforce_size(m: int) -> None:
         raise CapacityError(
             f"brute force over 2^{m} oracle functions exceeds the cutoff M = {BRUTEFORCE_CUTOFF}"
         )
-
-
-def random_signs(length: int, rng: RngStream) -> np.ndarray:
-    """A uniform +-1 vector from the stream, drawn by `random_sign_array`."""
-    return random_sign_array(rng.generator(), length)
 
 
 def random_family(K: int, N: int, rng: RngStream) -> np.ndarray:
@@ -151,53 +148,63 @@ def phase_state(h) -> np.ndarray:
     return (f / np.sqrt(f.size)).astype(np.complex128)
 
 
-def acceptance_probability(adv: AdversarySpec, h, f) -> float:
-    """p(h | f) = <psi_h| V^H O_f Pi O_f V |psi_h>, clamped to [0, 1]."""
-    hv = check_signs(h)
-    fv = check_signs(f)
-    if hv.size != adv.N:
-        raise ValueError(f"challenge length {hv.size} != N = {adv.N}")
-    if fv.size != adv.M:
-        raise ValueError(f"oracle length {fv.size} != M = {adv.M}")
-    psi = phase_state(hv)
-    w = fv * (adv.V @ psi)
-    p = float(np.real(w.conj() @ (adv.Pi @ w)))
-    if p < -1e-9 or p > 1 + 1e-9:
-        raise ValueError(f"acceptance probability {p} outside [0, 1] tolerance")
-    return min(1.0, max(0.0, p))
-
-
-def haar_average_acceptance(adv: AdversarySpec, f) -> float:
-    """Average acceptance over all phase states: tr(V^H O_f Pi O_f V) / N.
-
-    A uniformly random phase state averages to the maximally mixed state, so
-    the average is exact -- no Monte Carlo over the 2^N challenge functions.
-    """
+def _acceptance_form(adv: AdversarySpec, f) -> np.ndarray:
+    """Real N x N matrix Q_f = Re((O_f V)^H Pi (O_f V)), so that p(h | f) = h^T Q_f h / N."""
     fv = check_signs(f)
     if fv.size != adv.M:
         raise ValueError(f"oracle length {fv.size} != M = {adv.M}")
     A = fv[:, None] * adv.V
-    val = float(np.real(np.sum(A.conj() * (adv.Pi @ A)))) / adv.N
-    return min(1.0, max(0.0, val))
+    # Contiguous, so BLAS sees a real matrix rather than a strided view into complex storage.
+    return np.ascontiguousarray(np.real(A.conj().T @ (adv.Pi @ A)))
+
+
+def _acceptance(adv: AdversarySpec, Q: np.ndarray, H=None) -> np.ndarray:
+    """Acceptance probabilities h^T Q h / N of the rows h of the sign table H, checked and clamped.
+
+    H = None gives their average over all 2^N sign rows, tr(Q) / N, as a length-1
+    array.  AdversarySpec bounds every entry of V^H V - Id and of Pi Pi - Pi by
+    DERIVED_TOL, so by Gershgorin on these two matrices ||V||^2 <= 1 + N DERIVED_TOL
+    and every eigenvalue of Pi lies in [-M DERIVED_TOL, 1 + M DERIVED_TOL].  A
+    probability p = <w|Pi|w> with ||w||^2 <= ||V||^2 then lies in [-tol, 1 + tol],
+    tol = (1 + N DERIVED_TOL)(1 + M DERIVED_TOL) - 1: one outside is an error,
+    one inside is clamped to [0, 1].
+    """
+    N, M = adv.N, adv.M
+    if H is not None and H.shape[1] != N:
+        raise ValueError(f"challenge length {H.shape[1]} != N = {N}")
+    q = np.trace(Q)[None] if H is None else np.einsum("ij,ij->i", H @ Q, H)
+    p = q / N
+    tol = (1.0 + N * DERIVED_TOL) * (1.0 + M * DERIVED_TOL) - 1.0
+    bad = (p < -tol) | (p > 1.0 + tol)
+    if np.any(bad):
+        raise ValueError(f"acceptance probability {p[bad][0]} outside [0, 1] tolerance {tol:.1e}")
+    return np.clip(p, 0.0, 1.0)
+
+
+def acceptance_probability(adv: AdversarySpec, h, f) -> float:
+    """p(h | f) = <psi_h| V^H O_f Pi O_f V |psi_h> = h^T Q_f h / N, clamped to [0, 1]."""
+    Q = _acceptance_form(adv, f)
+    return float(_acceptance(adv, Q, check_signs(h)[None])[0])
+
+
+def haar_average_acceptance(adv: AdversarySpec, f) -> float:
+    """Average acceptance over all phase states: tr(Q_f) / N.
+
+    A uniformly random phase state averages to the maximally mixed state, so
+    the average is exact -- no Monte Carlo over the 2^N challenge functions.
+    """
+    return float(_acceptance(adv, _acceptance_form(adv, f))[0])
 
 
 def advantage_given_f(adv: AdversarySpec, R, f) -> float:
     """|E_k p(R_k | f) - E_h p(h | f)| for a fixed oracle function f.
 
-    Every row's acceptance probability comes from one K x M product: row k of
-    W is O_f V |psi_{R_k}>, and p_k = Re sum_i conj(W_ki) (Pi W_k)_i, checked
-    and clamped per row as in `acceptance_probability`.
+    Both terms come from one form Q_f: the family's rows R_k^T Q_f R_k / N and
+    the all-h average tr(Q_f) / N.
     """
-    fv = check_signs(f)
-    if fv.size != adv.M:
-        raise ValueError(f"oracle length {fv.size} != M = {adv.M}")
-    W = fv * family_images(adv.V, R)
-    p = np.real(np.sum(W.conj() * (W @ adv.Pi.T), axis=1))
-    bad = (p < -1e-9) | (p > 1 + 1e-9)
-    if np.any(bad):
-        raise ValueError(f"acceptance probability {p[bad][0]} outside [0, 1] tolerance")
-    fam = float(np.mean(np.clip(p, 0.0, 1.0)))
-    return abs(fam - haar_average_acceptance(adv, f))
+    Q = _acceptance_form(adv, f)
+    fam = float(np.mean(_acceptance(adv, Q, check_family(R))))
+    return abs(fam - float(_acceptance(adv, Q)[0]))
 
 
 def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
@@ -313,32 +320,24 @@ def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> floa
     Each trial: the challenger flips b; on b = 0 it sends |psi_{R_k}> for a
     random row k, on b = 1 a fresh random phase state (the adversary's view is
     identical to the random-basis-state challenger).  The adversary measures
-    Pi on O_f V |psi> and answers 0 on acceptance.  Phase states have real
-    amplitudes, so every acceptance probability is the real quadratic form
-    h^T Re(Q) h / N with Q = (O_f V)^H Pi (O_f V).  Random phase states are
-    drawn and scored only on b = 1 trials, in one GEMM per block of trials.
+    Pi on O_f V |psi> and answers 0 on acceptance, with probability
+    h^T Q_f h / N.  Random phase states are drawn and scored only on b = 1
+    trials, in one GEMM per block of trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     Rv = check_family(R)
-    fv = check_signs(f)
-    if Rv.shape[1] != adv.N or fv.size != adv.M:
-        raise ValueError("dimension mismatch between adversary, family, and oracle")
-    N = adv.N
-    A = fv[:, None] * adv.V
-    # The imaginary part cancels on real states; copy so BLAS sees a
-    # contiguous real matrix rather than a strided view into complex storage.
-    Q = np.ascontiguousarray(np.real(A.conj().T @ (adv.Pi @ A)))
-    p_rows = np.sum((Rv @ Q) * Rv, axis=1) / N
+    Q = _acceptance_form(adv, f)
+    p_rows = _acceptance(adv, Q, Rv)
 
     def run_block(b: int, size: int) -> int:
         g = rng.child(b).generator()
         ones = g.integers(0, 2, size=size) == 1
         ks = g.integers(0, Rv.shape[0], size=size)
         u = g.random(size)
-        H = random_sign_array(g, (int(ones.sum()), N))
+        H = random_sign_array(g, (int(ones.sum()), adv.N))
         p = p_rows[ks]
-        p[ones] = np.einsum("ij,ij->i", H @ Q, H) / N
+        p[ones] = _acceptance(adv, Q, H)
         # The adversary answers 1 (b = 1) exactly when it does not accept.
         return int(np.sum((u >= p) == ones))
 

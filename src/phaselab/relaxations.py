@@ -25,7 +25,14 @@ from .game import (
     family_images,
     max_abs_quadratic,
 )
-from .numerics import CapacityError, RngStream, operator_norm, parallel_blocks, random_sign_array
+from .numerics import (
+    CapacityError,
+    RngStream,
+    check_unit_vector,
+    operator_norm,
+    parallel_blocks,
+    random_sign_array,
+)
 
 __all__ = [
     "spectral_relaxation",
@@ -151,15 +158,12 @@ def _subset_value_terms(projectors, states) -> list[np.ndarray]:
     tr_over_first_factor(Pi_i)/N; the subset value is the operator norm of the
     sum over the chosen subset.
     """
-    states = [np.asarray(s, dtype=np.complex128).ravel() for s in states]
+    states = [check_unit_vector(s) for s in states]
     if not states or len(projectors) == 0:
         raise ValueError("need at least one state and one projector")
     N = states[0].size
     if any(s.size != N for s in states):
         raise ValueError("states must share one dimension")
-    for s in states:
-        if abs(np.linalg.norm(s) - 1.0) > 1e-8:
-            raise ValueError("states must be unit vectors")
     dim = np.asarray(projectors[0]).shape[0]
     if dim % N != 0:
         raise ValueError(f"projector dimension {dim} not divisible by N = {N}")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
-from phaselab.numerics import RngStream
+from phaselab.numerics import RngStream, random_sign_array
 
 
 def _random_adversary(N, M, rank, rng):
@@ -77,12 +77,10 @@ class TestReconstructionIdentity:
         for i in range(1000):
             rng = RngStream(1400 + i)
             V = pl.random_isometry(16, 64, rng.child(0))
-            h = pl.random_signs(16, rng.child(1))
-            D = pl.rescaling_matrix(V, h)
-            wt = pl.weight_vector(pl.isometry_weights(V))
-            worst = max(
-                worst, float(np.max(np.abs(D.dense() @ wt - V @ pl.phase_state(h))))
-            )
+            h = random_sign_array(rng.child(1).generator(), 16)
+            D, _ = pl.rescaling_diagonals(V, h[None])
+            wt = np.sqrt(pl.isometry_weights(V))
+            worst = max(worst, float(np.max(np.abs(D[0] * wt - V @ pl.phase_state(h)))))
         assert worst <= 1e-9
 
 
@@ -233,14 +231,14 @@ _DETERMINISM_SNIPPET = """
 import json
 import numpy as np
 import phaselab as pl
-from phaselab.numerics import RngStream
+from phaselab.numerics import RngStream, random_sign_array
 rng = RngStream(77)
 adv = pl.AdversarySpec(
     V=pl.random_isometry(8, 12, rng.child(0)),
     Pi=pl.random_projector(12, 6, rng.child(1)),
 )
 R = pl.random_family(4, 8, rng.child(2))
-f = pl.random_signs(12, rng.child(3))
+f = random_sign_array(rng.child(3).generator(), 12)
 win = pl.simulate_game(adv, R, f, 50_000, rng.child(4))
 reports = pl.default_suite(seed=3, samples=160)
 dev = pl.verify_one_query_simulation(

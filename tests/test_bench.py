@@ -1,9 +1,10 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from phaselab import bench
+from phaselab import bench, numerics
 from phaselab.bench import (
     TailReport,
     advantage_tail_bench,
@@ -14,9 +15,10 @@ from phaselab.bench import (
     truncated_conjugation_sampler,
     width_tail_bench,
 )
-from phaselab.decomposition import rescaling_diagonals, truncate_values
-from phaselab.game import AdversarySpec
+from phaselab.decomposition import rescaling_diagonals, truncate_values, width
+from phaselab.game import AdversarySpec, random_family
 from phaselab.numerics import (
+    SAMPLE_BLOCK,
     RngStream,
     operator_norm,
     random_isometry,
@@ -202,6 +204,29 @@ class TestWidthTail:
         rep = width_tail_bench(V, K=8, samples=96, rng=RngStream(18))
         assert rep.passed
         assert rep.extras["mean_width"] >= 1.0
+
+    def test_one_isometry_check_per_block(self, monkeypatch):
+        calls = []
+        original = numerics.check_isometry
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phaselab") and getattr(module, "check_isometry", None) is original:
+                monkeypatch.setattr(module, "check_isometry", spy)
+        V = random_isometry(8, 24, RngStream(24))
+        rep = width_tail_bench(V, K=8, samples=200, rng=RngStream(25))
+        blocks = -(-200 // SAMPLE_BLOCK)
+        assert 1 <= len(calls) <= blocks
+        # The stacked widths equal the per-family widths bit for bit.
+        families = [
+            random_family(min(SAMPLE_BLOCK, 200 - b * SAMPLE_BLOCK) * 8, 8, RngStream(25).child(b))
+            for b in range(blocks)
+        ]
+        per_family = [width(V, R) for F in families for R in F.reshape(-1, 8, 8)]
+        assert rep.extras["mean_width"] == float(np.mean(per_family))
 
 
 class TestAdvantageTail:

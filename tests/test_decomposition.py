@@ -8,15 +8,12 @@ from phaselab.decomposition import (
     is_b_bounded,
     isometry_weights,
     rescaling_diagonals,
-    rescaling_matrix,
-    truncate_rescaling,
     truncate_values,
-    weight_vector,
     width,
 )
 import phaselab
-from phaselab.game import AdversarySpec, phase_state, random_family, random_signs
-from phaselab.numerics import RngStream, random_isometry, random_projector
+from phaselab.game import AdversarySpec, phase_state, random_family
+from phaselab.numerics import RngStream, random_isometry, random_projector, random_sign_array
 
 
 def _isometry_with_zero_row(N):
@@ -32,13 +29,9 @@ class TestWeights:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0)
 
-    def test_weight_vector_is_unit(self):
+    def test_sqrt_weights_are_a_unit_vector(self):
         w = isometry_weights(random_isometry(5, 9, RngStream(2)))
-        assert np.linalg.norm(weight_vector(w)) == pytest.approx(1.0)
-
-    def test_weight_vector_rejects_negative(self):
-        with pytest.raises(ValueError):
-            weight_vector([-0.1, 1.1])
+        assert np.linalg.norm(np.sqrt(w)) == pytest.approx(1.0)
 
 
 class TestReconstructionIdentity:
@@ -47,28 +40,28 @@ class TestReconstructionIdentity:
     def test_rescaling_reconstructs_rotated_state(self, seed):
         rng = RngStream(seed)
         V = random_isometry(8, 14, rng.child(0))
-        h = random_signs(8, rng.child(1))
-        D = rescaling_matrix(V, h)
-        wt = weight_vector(isometry_weights(V))
+        h = random_sign_array(rng.child(1).generator(), 8)
+        D, _ = rescaling_diagonals(V, h[None])
         np.testing.assert_allclose(
-            D.dense() @ wt, V @ phase_state(h), atol=1e-12
+            D[0] * np.sqrt(isometry_weights(V)), V @ phase_state(h), atol=1e-12
         )
 
     def test_zero_weight_rows_masked(self):
         V = _isometry_with_zero_row(4)
-        D = rescaling_matrix(V, np.ones(4))
-        assert D.mask[-1]
-        assert D.diagonal[-1] == 0.0
+        D, mask = rescaling_diagonals(V, np.ones((1, 4)))
+        assert mask[-1]
+        assert D[0, -1] == 0.0
         # The identity holds on the masked row too (both sides are zero).
-        wt = weight_vector(isometry_weights(V))
-        np.testing.assert_allclose(D.dense() @ wt, V @ phase_state(np.ones(4)), atol=1e-12)
+        np.testing.assert_allclose(
+            D[0] * np.sqrt(isometry_weights(V)), V @ phase_state(np.ones(4)), atol=1e-12
+        )
 
     def test_batched_matches_single(self):
         V = random_isometry(6, 10, RngStream(5))
         R = random_family(4, 6, RngStream(6))
         D, mask = rescaling_diagonals(V, R)
         for k in range(4):
-            np.testing.assert_allclose(D[k], rescaling_matrix(V, R[k]).diagonal)
+            np.testing.assert_allclose(D[k], rescaling_diagonals(V, R[k : k + 1])[0][0])
 
 
 class TestDiagonalStatistics:
@@ -123,15 +116,26 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncate_values(np.ones(3), 0.0)
 
-    def test_truncate_rescaling_bounds_diagonal(self):
+    def test_truncated_diagonal_is_bounded(self):
         V = random_isometry(8, 12, RngStream(11))
-        D = rescaling_matrix(V, random_signs(8, RngStream(12)))
-        DB = truncate_rescaling(D, 1.5)
-        assert np.all(np.abs(DB.diagonal) <= 1.5 + 1e-12)
-        np.testing.assert_array_equal(DB.mask, D.mask)
+        D, _ = rescaling_diagonals(V, random_sign_array(RngStream(12).generator(), (1, 8)))
+        assert np.all(np.abs(truncate_values(D[0], 1.5)) <= 1.5 + 1e-12)
 
 
 class TestWidth:
+    def test_stack_matches_per_family_loop(self):
+        adv = AdversarySpec(V=random_isometry(6, 9, RngStream(30)), Pi=np.eye(9))
+        stack = random_family(2 * 3 * 5, 6, RngStream(31)).reshape(2, 3, 5, 6)
+        for V in (adv, adv.V):
+            got = width(V, stack)
+            assert got.shape == (2, 3)
+            want = [[width(V, R) for R in row] for row in stack]
+            np.testing.assert_array_equal(got, want)
+
+    def test_rejects_a_single_sign_vector(self):
+        with pytest.raises(ValueError, match="sign table"):
+            width(np.eye(4), np.ones(4))
+
     def test_identity_isometry_has_width_one(self):
         R = random_family(6, 8, RngStream(13))
         assert width(np.eye(8), R) == pytest.approx(1.0, abs=1e-12)
@@ -188,7 +192,6 @@ class TestAdversaryInPlaceOfV:
         R = random_family(5, 6, RngStream(23))
         assert width(adv, R) == width(adv.V, R)
         assert is_b_bounded(adv, R, 1.5) == is_b_bounded(adv.V, R, 1.5)
-        np.testing.assert_array_equal(rescaling_matrix(adv, R[0]).diagonal, rescaling_matrix(adv.V, R[0]).diagonal)
 
     def test_family_width_checked(self):
         with pytest.raises(ValueError, match="family width 5 != N = 6"):

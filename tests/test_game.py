@@ -21,11 +21,16 @@ from phaselab.game import (
     max_advantage_localsearch,
     phase_state,
     random_family,
-    random_signs,
     sign_rows,
     simulate_game,
 )
-from phaselab.numerics import CapacityError, RngStream, random_isometry, random_projector
+from phaselab.numerics import (
+    CapacityError,
+    RngStream,
+    random_isometry,
+    random_projector,
+    random_sign_array,
+)
 
 
 def _random_adversary(N, M, rank, seed):
@@ -34,6 +39,12 @@ def _random_adversary(N, M, rank, seed):
         V=random_isometry(N, M, rng.child(0)),
         Pi=random_projector(M, rank, rng.child(1)),
     )
+
+
+def _direct_acceptance(adv, h, f):
+    """Independent route to p(h | f): the state w = f o V psi_h and Re(w^H Pi w)."""
+    w = f * (adv.V @ phase_state(h))
+    return float(np.real(np.vdot(w, adv.Pi @ w)))
 
 
 def _lexfirst_max(B):
@@ -58,13 +69,8 @@ class TestValidatorsAndStates:
         assert R.shape == (5, 8)
         assert set(np.unique(R)) <= {-1.0, 1.0}
 
-    def test_random_signs_deterministic(self):
-        np.testing.assert_array_equal(
-            random_signs(16, RngStream(3)), random_signs(16, RngStream(3))
-        )
-
     def test_phase_state_is_unit(self):
-        h = random_signs(16, RngStream(1))
+        h = random_sign_array(RngStream(1).generator(), 16)
         psi = phase_state(h)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
         np.testing.assert_allclose(np.abs(psi), 1.0 / 4.0)
@@ -101,40 +107,64 @@ class TestValidatorsAndStates:
 class TestAcceptanceProbability:
     def test_matches_direct_formula(self):
         adv = _random_adversary(4, 6, 3, 10)
-        h = random_signs(4, RngStream(11))
-        f = random_signs(6, RngStream(12))
-        state = (f * (adv.V @ phase_state(h)))
-        expected = np.real(np.vdot(state, adv.Pi @ state))
-        assert acceptance_probability(adv, h, f) == pytest.approx(expected)
+        h = random_sign_array(RngStream(11).generator(), 4)
+        f = random_sign_array(RngStream(12).generator(), 6)
+        assert acceptance_probability(adv, h, f) == pytest.approx(_direct_acceptance(adv, h, f))
 
     def test_identity_projector_accepts_always(self):
         adv = AdversarySpec(V=random_isometry(4, 6, RngStream(1)), Pi=np.eye(6))
-        h = random_signs(4, RngStream(2))
+        h = random_sign_array(RngStream(2).generator(), 4)
         assert acceptance_probability(adv, h, np.ones(6)) == pytest.approx(1.0)
 
     def test_haar_average_equals_exhaustive_mean(self):
-        # Independent oracle: enumerate all 2^N sign functions at N=8.
+        # Independent oracle: the state-vector formula over all 2^N sign functions at N=8.
         adv = _random_adversary(8, 12, 5, 20)
-        f = random_signs(12, RngStream(21))
-        total = 0.0
-        for bits in itertools.product((1.0, -1.0), repeat=8):
-            total += acceptance_probability(adv, np.array(bits), f)
+        f = random_sign_array(RngStream(21).generator(), 12)
+        total = sum(_direct_acceptance(adv, h, f) for h in sign_rows(8))
         assert haar_average_acceptance(adv, f) == pytest.approx(total / 256, abs=1e-12)
 
     @pytest.mark.parametrize("which", ["ones", "random"])
     def test_advantage_given_f_is_mean_of_per_row_acceptance(self, which):
-        # Independent oracle: one acceptance_probability call per family row.
+        # Independent oracle: the state-vector formula per family row and over all 2^N rows.
         adv = _random_adversary(8, 10, 5, 22)
         R = random_family(16, 8, RngStream(23))
-        f = np.ones(10) if which == "ones" else random_signs(10, RngStream(24))
-        rows = np.mean([acceptance_probability(adv, r, f) for r in R])
-        expected = abs(rows - haar_average_acceptance(adv, f))
-        assert advantage_given_f(adv, R, f) == pytest.approx(expected, abs=1e-12)
+        f = np.ones(10) if which == "ones" else random_sign_array(RngStream(24).generator(), 10)
+        rows = np.mean([_direct_acceptance(adv, r, f) for r in R])
+        haar = np.mean([_direct_acceptance(adv, h, f) for h in sign_rows(8)])
+        assert advantage_given_f(adv, R, f) == pytest.approx(abs(rows - haar), abs=1e-12)
 
     def test_advantage_given_f_rejects_wrong_oracle_length(self):
         adv = _random_adversary(4, 6, 3, 25)
         with pytest.raises(ValueError, match="oracle length"):
             advantage_given_f(adv, random_family(2, 4, RngStream(26)), np.ones(5))
+
+
+class TestAcceptanceTolerance:
+    # V^H V = (1 + 8e-9) Id passes AdversarySpec's 1e-8 isometry check, and with
+    # Pi = Id every acceptance probability is 1 + 8e-9 before the clamp.
+    def _adversary(self):
+        return AdversarySpec(V=random_isometry(4, 6, RngStream(1)) * (1 + 4e-9), Pi=np.eye(6))
+
+    def test_every_route_returns_one(self, monkeypatch):
+        adv = self._adversary()
+        h = random_sign_array(RngStream(2).generator(), 4)
+        R = random_family(3, 4, RngStream(3))
+        f = random_sign_array(RngStream(4).generator(), 6)
+        assert _direct_acceptance(adv, h, f) > 1 + 5e-9
+        assert acceptance_probability(adv, h, f) == 1.0
+        assert haar_average_acceptance(adv, f) == 1.0
+        assert advantage_given_f(adv, R, f) == 0.0
+        seen = []
+        acceptance = game._acceptance
+        monkeypatch.setattr(game, "_acceptance", lambda *a: seen.append(acceptance(*a)) or seen[-1])
+        simulate_game(adv, R, f, 100, RngStream(5))
+        assert len(seen) == 2 and all(np.all(p == 1.0) for p in seen)
+
+    def test_rejects_a_probability_beyond_the_tolerance(self):
+        adv = self._adversary()
+        Q = game._acceptance_form(adv, np.ones(6))
+        with pytest.raises(ValueError, match="outside \\[0, 1\\] tolerance"):
+            game._acceptance(adv, 1.01 * Q, np.ones((1, 4)))
 
 
 class TestAdvantageKernel:
@@ -143,7 +173,7 @@ class TestAdvantageKernel:
     def test_kernel_quadratic_form_matches_direct_advantage(self, seed):
         adv = _random_adversary(6, 9, 4, seed)
         R = random_family(3, 6, RngStream(seed).child(5))
-        f = random_signs(9, RngStream(seed).child(6))
+        f = random_sign_array(RngStream(seed).child(6).generator(), 9)
         B = advantage_kernel(adv, R)
         assert abs(kernel_quadratic_form(B, f)) == pytest.approx(
             advantage_given_f(adv, R, f), abs=1e-12
@@ -157,7 +187,7 @@ class TestAdvantageKernel:
     def test_global_sign_flip_invariance(self):
         adv = _random_adversary(5, 7, 3, 8)
         R = random_family(2, 5, RngStream(9))
-        f = random_signs(7, RngStream(10))
+        f = random_sign_array(RngStream(10).generator(), 7)
         assert advantage_given_f(adv, R, f) == pytest.approx(
             advantage_given_f(adv, R, -f)
         )
@@ -261,7 +291,7 @@ class TestSimulateGame:
     def test_win_rate_tracks_half_plus_half_gap(self):
         adv = _random_adversary(8, 12, 6, 60)
         R = random_family(4, 8, RngStream(61))
-        f = random_signs(12, RngStream(62))
+        f = random_sign_array(RngStream(62).generator(), 12)
         B = advantage_kernel(adv, R)
         signed_gap = kernel_quadratic_form(B, f)
         trials = 40_000
@@ -282,7 +312,7 @@ class TestSimulateGame:
         # Pi = 0 never accepts and wins exactly the b = 1 trials of the same stream.
         V = random_isometry(8, 8, RngStream(74))
         R = random_family(4, 8, RngStream(75))
-        f = random_signs(8, RngStream(76))
+        f = random_sign_array(RngStream(76).generator(), 8)
         trials = 40_000
         wins = [
             simulate_game(AdversarySpec(V=V, Pi=Pi), R, f, trials, RngStream(77)) * trials

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab import numerics, relaxations
+from phaselab.attacks import advice_state_adversary
 from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import (
     BRUTEFORCE_CUTOFF,
@@ -15,7 +16,6 @@ from phaselab.game import (
     advantage_kernel,
     max_advantage_bruteforce,
     random_family,
-    random_signs,
 )
 from phaselab.numerics import (
     ZERO_WEIGHT_TOL,
@@ -187,7 +187,7 @@ class TestSpectralRelaxation:
     def test_upper_bounds_fixed_f_advantage(self, seed):
         adv = _random_adversary(6, 9, 4, seed)
         R = random_family(3, 6, RngStream(seed).child(5))
-        f = random_signs(9, RngStream(seed).child(6))
+        f = random_sign_array(RngStream(seed).child(6).generator(), 9)
         assert advantage_given_f(adv, R, f) <= spectral_relaxation(adv, R) + 1e-10
 
     def test_upper_bounds_maximized_advantage(self):
@@ -275,7 +275,7 @@ class TestDecoupled:
         adv = _random_adversary(6, 8, 4, 16)
         R = random_family(3, 6, RngStream(17))
         Rp = random_family(3, 6, RngStream(18))
-        f = random_signs(8, RngStream(19))
+        f = random_sign_array(RngStream(19).generator(), 8)
         C = decoupled_kernel(adv, R, Rp)
         assert abs(f @ (C @ f)) == pytest.approx(
             decoupled_advantage_given_f(adv, R, Rp, f), abs=1e-12
@@ -288,7 +288,7 @@ class TestDecoupled:
         best, fbest = max_decoupled_bruteforce(adv, R, Rp)
         assert decoupled_advantage_given_f(adv, R, Rp, fbest) == pytest.approx(best)
         for seed in range(5):
-            f = random_signs(8, RngStream(40 + seed))
+            f = random_sign_array(RngStream(40 + seed).generator(), 8)
             assert decoupled_advantage_given_f(adv, R, Rp, f) <= best + 1e-10
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 10])
@@ -437,6 +437,12 @@ class TestSubsetNormConjecture:
         projs = _projector_resolution(8, 4, 9)
         with pytest.raises(ValueError):
             subset_norm_conjecture(projs, [np.ones(4)])
+        # The one unit-vector check: a norm of 1 + 5e-9 is refused here as by an advice adversary.
+        state = np.full(4, 0.5) * (1 + 5e-9)
+        with pytest.raises(ValueError, match="not a unit vector"):
+            subset_norm_conjecture(projs, [state])
+        with pytest.raises(ValueError, match="not a unit vector"):
+            advice_state_adversary(np.eye(8), state)
 
     def test_brute_cutoff(self, monkeypatch):
         projs = _projector_resolution(8, 8, 10)
