@@ -24,6 +24,7 @@ broken to the lexicographically first maximizer (`max_abs_quadratic`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,10 +240,12 @@ def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
     Meet in the middle (Horowitz-Sahni): f = (a, b) splits after ceil(M/2)
     coordinates and f^T K f = q_a + a^T (K_ab + K_ba^T) b + q_b, so with q_a
     and q_b appended to the two factors a block of a-rows against all b-rows
-    is one GEMM.  Blocks hold at most max(2^16, 2^floor(M/2)) values: memory is
-    O(2^(M/2)).  Row-major (a, b) order is lexicographic in f with +1 first and
-    a later block wins only on a strictly larger value, so ties break to the
-    lexicographically first maximizer.  K may be complex and non-Hermitian.
+    is one real GEMM.  A complex K (generally non-Hermitian) takes two, for
+    the real and the imaginary part; the block's squared moduli are compared
+    and one square root is taken at the end.  Blocks hold at most
+    max(2^16, 2^floor(M/2)) values: memory is O(2^(M/2)).  Row-major (a, b)
+    order is lexicographic in f with +1 first and a later block wins only on a
+    strictly larger value, so ties break to the lexicographically first maximizer.
     """
     m = K.shape[0]
     ka = (m + 1) // 2
@@ -250,17 +253,32 @@ def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
     Fb = sign_rows(m - ka)
     qa = np.einsum("ij,ij->i", Fa @ K[:ka, :ka], Fa)
     qb = np.einsum("ij,ij->i", Fb @ K[ka:, ka:], Fb)
-    A = np.column_stack([Fa, qa, np.ones(len(Fa))])
-    G = np.vstack([(K[:ka, ka:] + K[ka:, :ka].T) @ Fb.T, np.ones(len(Fb)), qb])
+    cross = (K[:ka, ka:] + K[ka:, :ka].T) @ Fb.T
+
+    def factors(q_a, c, q_b):  # [a, q_a, 1] @ [c; 1; q_b] = q_a + a^T c_b + q_b
+        return np.column_stack([Fa, q_a, np.ones(len(Fa))]), np.vstack([c, np.ones(len(Fb)), q_b])
+
+    square = np.iscomplexobj(K)
+    if square:
+        A, G = factors(qa.real, cross.real, qb.real)
+        Ai, Gi = factors(qa.imag, cross.imag, qb.imag)
+    else:
+        A, G = factors(qa, cross, qb)
     rows = max(1, _BLOCK // len(Fb))
     best_val, best_idx = -1.0, 0
     for start in range(0, len(Fa), rows):
-        vals = np.abs(A[start : start + rows] @ G)
+        vals = A[start : start + rows] @ G
+        if square:
+            im = Ai[start : start + rows] @ Gi
+            vals *= vals
+            vals += np.multiply(im, im, out=im)
+        else:
+            np.abs(vals, out=vals)
         j = int(np.argmax(vals))
         if vals.flat[j] > best_val:
             best_val, best_idx = float(vals.flat[j]), start * len(Fb) + j
     i, j = divmod(best_idx, len(Fb))
-    return best_val, np.concatenate([Fa[i], Fb[j]])
+    return math.sqrt(best_val) if square else best_val, np.concatenate([Fa[i], Fb[j]])
 
 
 def max_advantage_bruteforce(adv: AdversarySpec, R):

@@ -12,8 +12,6 @@ product-space measurements rounds out the module.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .decomposition import rescaling_diagonals, truncate_values
@@ -60,8 +58,8 @@ def _weight_basis(adv: AdversarySpec, kernel: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2, equal to its conjugate transpose bit for bit."""
-    return (m + m.conj().T) / 2
+    """(m + m^H) / 2 of a matrix or a stack, equal to its conjugate transpose bit for bit."""
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
 def _clip_gain(D: np.ndarray, B: float) -> np.ndarray:
@@ -150,13 +148,14 @@ def max_decoupled_bruteforce(adv: AdversarySpec, R, Rp):
     return max_abs_quadratic(decoupled_kernel(adv, R, Rp))
 
 
-def _subset_value_terms(projectors, states) -> list[np.ndarray]:
-    """Per-projector deviation terms on the co-factor space.
+def _subset_value_terms(projectors, states) -> np.ndarray:
+    """Per-projector deviation terms on the co-factor space, stacked (L, P, P).
 
-    For states |psi_k> in dimension N and projectors on dimension N * P, each
-    term is E_k (<psi_k| x Id) Pi_i (|psi_k> x Id) minus its Haar average
-    tr_over_first_factor(Pi_i)/N; the subset value is the operator norm of the
-    sum over the chosen subset.
+    For states |psi_k> in dimension N and projectors on dimension N * P, term i
+    is E_k (<psi_k| x Id) Pi_i (|psi_k> x Id) = tr_1((rho x Id) Pi_i), with
+    rho = E_k |psi_k><psi_k|, minus its Haar average tr_1(Pi_i)/N; the subset
+    value is the operator norm of the sum over the chosen subset.  Each term is
+    kept as its Hermitian part, so every subset sum is Hermitian bit for bit.
     """
     states = [check_unit_vector(s) for s in states]
     if not states or len(projectors) == 0:
@@ -168,23 +167,114 @@ def _subset_value_terms(projectors, states) -> list[np.ndarray]:
     if dim % N != 0:
         raise ValueError(f"projector dimension {dim} not divisible by N = {N}")
     P = dim // N
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    terms = []
-    for Pi in projectors:
-        Pm = np.asarray(Pi, dtype=np.complex128)
-        if Pm.shape != (dim, dim):
-            raise ValueError("projectors must share one dimension")
-        total += Pm
-        T = Pm.reshape(N, P, N, P)
-        pinched = np.zeros((P, P), dtype=np.complex128)
-        for s in states:
-            pinched += np.einsum("k,kplq,l->pq", np.conj(s), T, s)
-        pinched /= len(states)
-        haar = np.einsum("kpkq->pq", T) / N
-        terms.append(pinched - haar)
-    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-8:
+    Pis = [np.asarray(Pi, dtype=np.complex128) for Pi in projectors]
+    if any(Pm.shape != (dim, dim) for Pm in Pis):
+        raise ValueError("projectors must share one dimension")
+    T = np.stack(Pis)
+    if float(np.max(np.abs(T.sum(axis=0) - np.eye(dim)))) > 1e-8:
         raise ValueError("projectors must sum to the identity")
-    return terms
+    psi = np.stack(states)
+    rho = psi.T @ psi.conj() / len(psi)  # rho[l, k] = E_k psi_l conj(psi_k)
+    T = T.reshape(len(T), N, P, N, P)
+    pinched = np.einsum("ikplq,lk->ipq", T, rho)
+    return _hermitian_part(pinched - np.einsum("ikpkq->ipq", T) / N)
+
+
+def _norm_bounds(S: np.ndarray) -> np.ndarray:
+    """Upper bounds on the norms of a stack of Hermitian P x P matrices; S is overwritten.
+
+    Wolkowicz-Styan (1980): with m = tr(S)/P and s^2 = ||S - m Id||_F^2 / P, every
+    eigenvalue lies within s sqrt(P - 1) of m, so ||S|| <= |m| + s sqrt(P - 1).
+    s^2 comes from the traceless part itself, not from ||S||_F^2 / P - m^2,
+    which cancels when S is near a multiple of the identity.
+    """
+    P = S.shape[-1]
+    diag = S.reshape(len(S), -1)[:, :: P + 1]
+    m = diag.real.sum(axis=1) / P  # the diagonal's imaginary parts are exactly 0
+    diag -= m[:, None]
+    return np.abs(m) + np.sqrt((P - 1) / P * _frobenius_squares(S))
+
+
+def _frobenius_squares(S: np.ndarray) -> np.ndarray:
+    """||S_i||_F^2 for each matrix of a contiguous complex stack."""
+    flat = S.reshape(len(S), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest norm of a subset sum of Hermitian terms, and the first such subset in bit order.
+
+    Equal to taking `operator_norm` of every subset's sum, added in index order, and
+    scanning in bit order for a value above the best + 1e-15; only sums whose trace
+    bound can reach the largest norm have theirs taken.
+    """
+    L = len(terms)
+    # Block b: a doubling table over the low k terms, plus b's high terms in order, so
+    # each sum is sum(terms[i] for i in members) bit for bit (a Gray-code walk drifts).
+    k = min(L, max(0, (SUBSET_BLOCK // terms[0].size).bit_length() - 1))
+    low = np.zeros((1 << k, *terms.shape[1:]), dtype=np.complex128)
+    for j in range(k):
+        low[1 << j : 2 << j] = low[: 1 << j] + terms[j]
+
+    def high(b):
+        return [j for j in range(k, L) if (b >> (j - k)) & 1]
+
+    def block_sums(b, rows=slice(None)):
+        js = high(b)
+        sums = low[rows] + terms[js[0]] if js else low[rows].copy()
+        for j in js[1:]:
+            sums += terms[j]
+        return sums
+
+    # Pass 1: a norm bound for every sum, and the exact norm of each block's top-bound sum.
+    # The bound is taken of low + H, with H the sum of b's r high terms: one add over the
+    # block rather than r.  By recursive summation that differs from the sum built in index
+    # order by at most (2r + 1) u (||low_i||_F + sum_j ||h_j||_F) in norm, u the unit
+    # roundoff, so (2r + 2) u times that is added to the bound.
+    low_norms = np.sqrt(_frobenius_squares(low))
+    term_norms = np.sqrt(_frobenius_squares(terms))
+    u = np.finfo(float).eps / 2
+
+    def bound_block(b, size):
+        js = high(b)
+        slack = (2 * len(js) + 2) * u * (low_norms + term_norms[js].sum())
+        bounds = _norm_bounds(low + sum(terms[j] for j in js)) + slack
+        return bounds, float(operator_norm(block_sums(b, [int(np.argmax(bounds))]))[0])
+
+    bounds, tops = zip(*parallel_blocks(bound_block, 1 << L, 1 << k))
+    cut = max(tops) - 1e-12
+
+    # Pass 2: exact norms of the sums whose bound reaches cut, the whole block if that is
+    # more than half of it.  The 1e-9 relative margin covers the rounding of bound and
+    # eigensolve (at worst about P^2 * 1.1e-16, below 1e-9 for P < 3000), so every
+    # skipped sum's norm lies below cut; with cut < 0 nothing is skipped.
+    def evaluate(cut):
+        def norm_block(b, size):
+            rows = np.flatnonzero(bounds[b] * (1 + 1e-9) >= cut)
+            if 2 * rows.size > size:
+                return np.arange(size), operator_norm(block_sums(b))
+            return rows, operator_norm(block_sums(b, rows)) if rows.size else np.empty(0)
+
+        return parallel_blocks(norm_block, 1 << L, 1 << k)
+
+    # Why the scan below returns the per-subset loop's (value, witness): every skipped
+    # norm lies below cut, and cut + 1e-12 is a norm of some sum, so cut is below the
+    # maximum.  If no evaluated norm lies in (cut, cut + 1e-15], then at the first sum
+    # above cut + 1e-15 in bit order the best of both scans is at most cut, so both
+    # accept it; after it neither can accept a norm below cut, and both see the same
+    # norms.  A norm in that window could let a chain of near-ties carry a skipped
+    # sum's effect up to the maximum, so then every sum is evaluated.  Every returned
+    # value is an eigvalsh value of its sum.
+    found = evaluate(cut)
+    vals = np.concatenate([v for _, v in found])
+    if vals.size < 1 << L and np.any((vals > cut) & (vals <= cut + 1e-15)):
+        found = evaluate(-np.inf)
+    best_val, best_bits = 0.0, 0
+    for b, (rows, vals) in enumerate(found):
+        for bits, val in zip((rows + (b << k)).tolist(), vals.tolist()):
+            if val > best_val + 1e-15:
+                best_val, best_bits = val, bits
+    return best_val, tuple(i for i in range(L) if (best_bits >> i) & 1)
 
 
 def subset_norm_conjecture(
@@ -196,34 +286,22 @@ def subset_norm_conjecture(
 ):
     """Maximize || sum_{i in S} deviation-term_i ||_op over subsets S.
 
-    'brute' enumerates all 2^L subsets (L <= SUBSET_CUTOFF), ties to the first in bit
-    order; 'greedy' grows S by single-index additions, accepting the first
-    improving move, with random restart orders.  Returns (value, sorted witness).
+    'brute' enumerates all 2^L subsets (L <= SUBSET_CUTOFF), ties to the first in
+    bit order.  It bounds every subset sum's norm by a Wolkowicz-Styan trace
+    bound, takes the exact norm of each block's top-bound sum, and then takes
+    exact norms only of the sums whose bound reaches the largest of those, less
+    1e-12; value and witness are those that a norm of every sum would give.
+    'greedy' grows S by single-index additions, accepting the first improving
+    move, with random restart orders.  Returns (value, sorted witness).
     """
     L = len(projectors)
     if mode == "brute" and L > SUBSET_CUTOFF:
         raise CapacityError(f"2^{L} subsets exceed the brute-force cutoff {SUBSET_CUTOFF}")
     if mode not in ("brute", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    terms = np.stack(_subset_value_terms(projectors, states))
+    terms = _subset_value_terms(projectors, states)
     if mode == "brute":
-        # Block b: a doubling table over the low k terms, plus b's high terms in order, so
-        # each sum is sum(terms[i] for i in members) bit for bit (a Gray-code walk drifts).
-        k = min(L, max(0, (SUBSET_BLOCK // terms[0].size).bit_length() - 1))
-        low = np.zeros((1 << k, *terms.shape[1:]), dtype=np.complex128)
-        for j in range(k):
-            low[1 << j : 2 << j] = low[: 1 << j] + terms[j]
-
-        def run_block(b, size):
-            high = [terms[j] for j in range(k, L) if (b >> (j - k)) & 1]
-            return operator_norm(functools.reduce(np.add, high, low))
-
-        best_val, best_bits = 0.0, 0
-        for b, vals in enumerate(parallel_blocks(run_block, 1 << L, 1 << k)):
-            for bits, val in enumerate(vals.tolist(), start=b << k):
-                if val > best_val + 1e-15:
-                    best_val, best_bits = val, bits
-        return best_val, tuple(i for i in range(L) if (best_bits >> i) & 1)
+        return _brute_subset_max(terms)
     rng = RngStream(0) if rng is None else rng
     best_val, best_set = 0.0, ()
     for r in range(restarts):

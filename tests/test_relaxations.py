@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaselab import numerics, relaxations
@@ -47,8 +47,8 @@ def _random_adversary(N, M, rank, seed):
 
 def _lexfirst_max(C):
     """Maximum of |f^T C f| over f with f_1 = +1 and its lexicographically first maximizer."""
-    fs = [np.array((1.0,) + t) for t in itertools.product((1.0, -1.0), repeat=C.shape[0] - 1)]
-    vals = [abs(f @ C @ f) for f in fs]
+    fs = np.array([(1.0,) + t for t in itertools.product((1.0, -1.0), repeat=C.shape[0] - 1)])
+    vals = np.abs(np.sum((fs @ C) * fs, axis=1))
     i = int(np.argmax(vals))
     return vals[i], fs[i]
 
@@ -291,7 +291,7 @@ class TestDecoupled:
             f = random_sign_array(RngStream(40 + seed).generator(), 8)
             assert decoupled_advantage_given_f(adv, R, Rp, f) <= best + 1e-10
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 18])  # 18: two search blocks
     def test_bruteforce_matches_lexicographic_enumeration(self, m):
         n = max(1, m // 2)
         adv = _random_adversary(n, m, n, 80 + m)
@@ -450,6 +450,31 @@ class TestSubsetNormConjecture:
         with pytest.raises(CapacityError, match="cutoff 4"):
             subset_norm_conjecture(projs, _unit_states(4, 2, 11))
 
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from(["random", "rank-1", "near-identity", "identity", "zero"]),
+        st.floats(min_value=-6.0, max_value=3.0),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_norm_bound_dominates_the_norm(self, P, kind, log_scale, seed):
+        g = np.random.default_rng(seed)
+        Z = g.standard_normal((6, P, P)) + 1j * g.standard_normal((6, P, P))
+        c = g.standard_normal(6)[:, None, None]
+        v = Z[..., 0]
+        S = {
+            "random": Z,
+            "rank-1": c * v[:, :, None] * v.conj()[:, None, :],
+            "near-identity": c * np.eye(P) + 1e-9 * Z,
+            "identity": c * np.eye(P),
+            "zero": 0 * Z,
+        }[kind]
+        S = relaxations._hermitian_part(10.0**log_scale * S)
+        # Rank-1 matrices and multiples of the identity attain the bound, so rounding may put
+        # it an ulp under the eigensolve: brute mode's pruning allows 1e-9 for that.
+        bounds = relaxations._norm_bounds(S.copy())
+        assert np.all(bounds * (1 + 1e-9) >= operator_norm(S))
+
     @pytest.mark.parametrize("N, P, L", [(4, 2, 1), (5, 2, 5), (6, 2, 12), (7, 4, 14)])
     def test_brute_matches_the_per_subset_loop(self, N, P, L, monkeypatch):
         projs = _projector_resolution(N * P, L, 20 + L)
@@ -457,17 +482,68 @@ class TestSubsetNormConjecture:
         stacks = []
 
         def spy(m):
-            stacks.append(np.array(m))
+            stacks.append(np.array(m).reshape(-1, P, P))
             return operator_norm(m)
 
         monkeypatch.setattr(relaxations, "operator_norm", spy)
         got = subset_norm_conjecture(projs, states, mode="brute")
         terms = relaxations._subset_value_terms(projs, states)
         assert got == _reference_brute(terms)
-        # Every subset's matrix is the sequential sum bit for bit, not just the best one's.
-        np.testing.assert_array_equal(np.concatenate(stacks)[1:], _reference_sums(terms))
-        # At P = 4 a block holds 2^12 subsets, so L = 14 takes four stacked norms.
-        assert len(stacks) == (4 if L == 14 else 1)
+        # Every matrix whose norm is taken is its subset's sequential sum bit for bit
+        # (adding 0j reads -0.0 as 0.0); the sums are distinct, so each names one subset.
+        sums = [np.zeros_like(terms[0])] + _reference_sums(terms)
+        subset_of = {(s + 0j).tobytes(): bits for bits, s in enumerate(sums)}
+        assert len(subset_of) == 1 << L
+        evaluated = [subset_of[(m + 0j).tobytes()] for m in np.concatenate(stacks)]
+        # A subset whose norm is never taken cannot win.
+        skipped = sorted(set(range(1 << L)) - set(evaluated))
+        if skipped:
+            assert np.all(operator_norm(np.stack([sums[bits] for bits in skipped])) < got[0])
+        if (N, P, L) == (6, 2, 12):
+            assert len(evaluated) < (1 << L) - 1
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=99),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @example(N=6, P=1, pick=3, K=2, seed=1)  # P = 1, L = 6
+    @example(N=3, P=2, pick=0, K=1, seed=2)  # the trivial resolution: L = 1
+    @example(N=7, P=4, pick=4, K=3, seed=3)  # L = 14 in four blocks
+    @settings(max_examples=25, deadline=None)
+    def test_brute_equals_the_per_subset_loop_on_random_sizes(self, N, P, pick, K, seed):
+        dim = N * P
+        divisors = [L for L in range(1, dim + 1) if dim % L == 0]
+        projs = _projector_resolution(dim, divisors[pick % len(divisors)], seed)
+        states = _unit_states(N, K, seed + 1)
+        terms = relaxations._subset_value_terms(projs, states)
+        assert subset_norm_conjecture(projs, states, mode="brute") == _reference_brute(terms)
+
+    def test_near_tie_chain_takes_every_norm(self):
+        # 1 x 1 terms: one large value and steps 0.9e-15 * 2^i, so the subset norms form a
+        # chain of near-ties (closer than the scan's 1e-15) running across the pruning cut.
+        # Skipping the sums below the cut would move where the scan's chain of acceptances
+        # starts, and with it the witness.
+        terms = np.zeros((12, 1, 1), dtype=np.complex128)
+        terms[0] = 1e-4
+        terms[1:, 0, 0] = 0.9e-15 * 2.0 ** np.arange(11)
+        assert relaxations._brute_subset_max(terms) == _reference_brute(terms)
+
+    def test_terms_are_hermitian_so_norms_take_the_eigvalsh_route(self, monkeypatch):
+        projs = _projector_resolution(12, 6, 70)
+        states = _unit_states(4, 3, 71)
+        terms = relaxations._subset_value_terms(projs, states)
+        assert np.array_equal(terms, np.swapaxes(terms.conj(), -1, -2))
+        routes = []
+        route_norms = numerics._route_norms
+        monkeypatch.setattr(
+            numerics, "_route_norms", lambda a, herm: routes.append(herm) or route_norms(a, herm)
+        )
+        subset_norm_conjecture(projs, states, mode="brute")
+        subset_norm_conjecture(projs, states, mode="greedy", restarts=4)
+        assert routes and all(routes)
 
     def test_greedy_matches_the_per_candidate_loop(self):
         projs = _projector_resolution(12, 6, 50)
