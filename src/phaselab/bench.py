@@ -146,6 +146,9 @@ def truncated_conjugation_sampler(V, Pi, B: float):
     all-h average (enumerated, so N must stay small).  Entries of the truncated
     diagonal are bounded by B, so each sample is Hermitian with norm at most
     2 B^2; returns (sampler, uniform bound 2B^2).
+
+    sampler(g) gives one D x D sample; sampler(g, count) gives a (count, D, D) stack
+    equal to `count` successive sampler(g) calls: each draw reads one 64-bit word.
     """
     adv = AdversarySpec(V, Pi)
     if adv.N > 12:
@@ -154,9 +157,13 @@ def truncated_conjugation_sampler(V, Pi, B: float):
     mean = np.einsum("ki,ij,kj->ij", DallB.conj(), adv.Pi, DallB) / len(DallB)
     place = 1 << np.arange(adv.N - 1, -1, -1)  # sign h is row sum_j [h_j < 0] 2^(N-1-j)
 
-    def sampler(g: np.random.Generator) -> np.ndarray:
-        DB = DallB[int((random_sign_array(g, adv.N) < 0) @ place)]
-        return np.conj(DB)[:, None] * adv.Pi * DB[None, :] - mean
+    def sampler(g: np.random.Generator, count: int | None = None) -> np.ndarray:
+        signs = random_sign_array(g, (1 if count is None else count, 64))[:, : adv.N]
+        DB = DallB[(signs < 0) @ place]
+        Z = np.conj(DB)[:, :, None] * adv.Pi
+        Z *= DB[:, None, :]
+        Z -= mean
+        return Z[0] if count is None else Z
 
     return sampler, 2.0 * B * B
 
@@ -167,7 +174,8 @@ def matrix_hoeffding_bench(
     """Sums of K iid mean-zero Hermitian matrices with ||Z_k|| <= norm_bound.
 
     With C_k = norm_bound * Id, the variance proxy is sigma^2 = K norm_bound^2
-    and Pr[||sum Z_k|| >= t] <= 2 D exp(-t^2 / (8 sigma^2)).
+    and Pr[||sum Z_k|| >= t] <= 2 D exp(-t^2 / (8 sigma^2)).  A block of samples
+    takes its size * K draws in one call sampler(g, size * K), a (size * K, D, D) stack.
     """
     g0 = rng.child(0).generator()
     probe = sampler(g0)
@@ -178,11 +186,10 @@ def matrix_hoeffding_bench(
     thresholds = [t * np.sqrt(sigma2) for t in HOEFFDING_THRESHOLDS]
 
     def run_block(b, size):
-        g = rng.child(b + 1).generator()
+        Z = sampler(rng.child(b + 1).generator(), size * K).reshape(size, K, D, D)
         acc = np.zeros((size, D, D), dtype=np.complex128)
-        for i in range(size):
-            for _ in range(K):
-                acc[i] += sampler(g)
+        for k in range(K):
+            acc += Z[:, k]
         return operator_norm(acc)
 
     norms = np.concatenate(parallel_blocks(run_block, samples))
@@ -258,19 +265,20 @@ def advantage_tail_bench(
     mode brute-forces the maximum over oracle functions (M <= 12) and
     measures the tail of the excess over the sample mean against
     4 exp(-c eps^2 K N).  ADVANTAGE_C_TEST replaces the existential constant c.
+    Each block of families is one stacked call in either mode.
     """
     N = adv.N
     if mode == "fixed-f":
         fv = np.ones(adv.M)
-        value, scale = (lambda R: advantage_given_f(adv, R, fv)), 2.0
+        value, scale = (lambda stack: advantage_given_f(adv, stack, fv)), 2.0
     elif mode == "max-f":
         if adv.M > 12:
             raise ValueError("max-f mode brute-forces oracle functions; M <= 12")
-        value, scale = (lambda R: max_advantage_bruteforce(adv, R)[0]), 4.0
+        value, scale = (lambda stack: max_advantage_bruteforce(adv, stack)[0]), 4.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    values = _over_families(lambda stack: np.array([value(R) for R in stack]), K, N, samples, rng)
+    values = _over_families(value, K, N, samples, rng)
     tail = values if mode == "fixed-f" else values - values.mean()
     bounds = [
         min(1.0, scale * np.exp(-ADVANTAGE_C_TEST * e * e * K * N)) for e in ADVANTAGE_EPSILONS

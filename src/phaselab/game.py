@@ -24,7 +24,6 @@ broken to the lexicographically first maximizer (`max_abs_quadratic`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +133,21 @@ class AdversarySpec:
         return self.V.shape[0]
 
 
+def _check_families(R) -> np.ndarray:
+    """Validate and return a K x N family or a stack of them, shape (..., K, N)."""
+    return _check_sign_array(R, max(np.ndim(R), 2), "K x N sign table or a stack of them")
+
+
 def family_images(V, R) -> np.ndarray:
-    """K x M matrix whose row k is V |psi_{R_k}>, for an M x N matrix V and a K x N family R."""
-    Rv = check_family(R)
+    """K x M matrix whose row k is V |psi_{R_k}>, for an M x N matrix V and a K x N family R.
+
+    A stack of families (..., K, N) gives (..., K, M), each family's own product.
+    """
+    Rv = _check_families(R)
     N = V.shape[1]
-    if Rv.shape[1] != N:
-        raise ValueError(f"family width {Rv.shape[1]} != N = {N}")
-    return (V @ (Rv.T / np.sqrt(N))).T
+    if Rv.shape[-1] != N:
+        raise ValueError(f"family width {Rv.shape[-1]} != N = {N}")
+    return np.swapaxes(V @ (np.swapaxes(Rv, -1, -2) / np.sqrt(N)), -1, -2)
 
 
 def phase_state(h) -> np.ndarray:
@@ -162,8 +169,9 @@ def _acceptance_form(adv: AdversarySpec, f) -> np.ndarray:
 def _acceptance(adv: AdversarySpec, Q: np.ndarray, H=None) -> np.ndarray:
     """Acceptance probabilities h^T Q h / N of the rows h of the sign table H, checked and clamped.
 
-    H = None gives their average over all 2^N sign rows, tr(Q) / N, as a length-1
-    array.  AdversarySpec bounds every entry of V^H V - Id and of Pi Pi - Pi by
+    A stack of tables, shape (..., K, N), gives shape (..., K).  H = None gives
+    their average over all 2^N sign rows, tr(Q) / N, as a length-1 array.
+    AdversarySpec bounds every entry of V^H V - Id and of Pi Pi - Pi by
     DERIVED_TOL, so by Gershgorin on these two matrices ||V||^2 <= 1 + N DERIVED_TOL
     and every eigenvalue of Pi lies in [-M DERIVED_TOL, 1 + M DERIVED_TOL].  A
     probability p = <w|Pi|w> with ||w||^2 <= ||V||^2 then lies in [-tol, 1 + tol],
@@ -171,9 +179,9 @@ def _acceptance(adv: AdversarySpec, Q: np.ndarray, H=None) -> np.ndarray:
     one inside is clamped to [0, 1].
     """
     N, M = adv.N, adv.M
-    if H is not None and H.shape[1] != N:
-        raise ValueError(f"challenge length {H.shape[1]} != N = {N}")
-    q = np.trace(Q)[None] if H is None else np.einsum("ij,ij->i", H @ Q, H)
+    if H is not None and H.shape[-1] != N:
+        raise ValueError(f"challenge length {H.shape[-1]} != N = {N}")
+    q = np.trace(Q)[None] if H is None else np.einsum("...ij,...ij->...i", H @ Q, H)
     p = q / N
     tol = (1.0 + N * DERIVED_TOL) * (1.0 + M * DERIVED_TOL) - 1.0
     bad = (p < -tol) | (p > 1.0 + tol)
@@ -197,15 +205,17 @@ def haar_average_acceptance(adv: AdversarySpec, f) -> float:
     return float(_acceptance(adv, _acceptance_form(adv, f))[0])
 
 
-def advantage_given_f(adv: AdversarySpec, R, f) -> float:
+def advantage_given_f(adv: AdversarySpec, R, f):
     """|E_k p(R_k | f) - E_h p(h | f)| for a fixed oracle function f.
 
     Both terms come from one form Q_f: the family's rows R_k^T Q_f R_k / N and
-    the all-h average tr(Q_f) / N.
+    the all-h average tr(Q_f) / N.  A stack of families (..., K, N) gives (...).
     """
     Q = _acceptance_form(adv, f)
-    fam = float(np.mean(_acceptance(adv, Q, check_family(R))))
-    return abs(fam - float(_acceptance(adv, Q)[0]))
+    Rv = _check_families(R)
+    fam = np.mean(_acceptance(adv, Q, Rv), axis=-1)
+    gap = np.abs(fam - _acceptance(adv, Q)[0])
+    return float(gap) if Rv.ndim == 2 else gap
 
 
 def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
@@ -214,10 +224,11 @@ def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
     Writing u_k = V |psi_k>, the acceptance probability expands entrywise as
     p = sum_ij f_i f_j Pi_ij conj(u_i) u_j, and the all-h average replaces the
     outer product by conj(V V^H)/N.  The signed gap is the quadratic form of
-    the difference; its absolute value is the advantage at f.
+    the difference; its absolute value is the advantage at f.  A stack of
+    families (..., K, N) gives a stack of kernels (..., M, M).
     """
     U = family_images(adv.V, R)  # K x M, row k = V|psi_k>
-    outer = (U.conj().T @ U) / U.shape[0]  # E_k conj(u_i) u_j at (i, j)
+    outer = (np.swapaxes(U.conj(), -1, -2) @ U) / U.shape[-2]  # E_k conj(u_i) u_j at (i, j)
     gram = adv.V @ adv.V.conj().T
     return adv.Pi * (outer - gram.conj() / adv.N)
 
@@ -234,7 +245,7 @@ def sign_rows(n: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> np.arange(n - 1, -1, -1)) & 1)
 
 
-def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
+def max_abs_quadratic(K: np.ndarray):
     """Exact max of |f^T K f| over sign vectors f with f_1 = +1, and a maximizer.
 
     Meet in the middle (Horowitz-Sahni): f = (a, b) splits after ceil(M/2)
@@ -246,39 +257,55 @@ def max_abs_quadratic(K: np.ndarray) -> tuple[float, np.ndarray]:
     max(2^16, 2^floor(M/2)) values: memory is O(2^(M/2)).  Row-major (a, b)
     order is lexicographic in f with +1 first and a later block wins only on a
     strictly larger value, so ties break to the lexicographically first maximizer.
+
+    A stack of kernels (..., M, M) gives values (...) and maximizers (..., M),
+    each its kernel's own bit for bit: kernels whose searches fit in one block
+    share a batched GEMM, larger ones are searched one by one.
     """
-    m = K.shape[0]
+    m = K.shape[-1]
     ka = (m + 1) // 2
     Fa = sign_rows(ka)[: 1 << (ka - 1)]  # the first half has f_1 = +1
     Fb = sign_rows(m - ka)
-    qa = np.einsum("ij,ij->i", Fa @ K[:ka, :ka], Fa)
-    qb = np.einsum("ij,ij->i", Fb @ K[ka:, ka:], Fb)
-    cross = (K[:ka, ka:] + K[ka:, :ka].T) @ Fb.T
+    Ks, nb = K.reshape(-1, m, m), len(Fb)
+    rows, per = max(1, _BLOCK // nb), max(1, _BLOCK // (len(Fa) * nb))  # a-rows, kernels per block
+    best_val, best_idx = np.full(len(Ks), -1.0), np.zeros(len(Ks), dtype=np.int64)
 
     def factors(q_a, c, q_b):  # [a, q_a, 1] @ [c; 1; q_b] = q_a + a^T c_b + q_b
-        return np.column_stack([Fa, q_a, np.ones(len(Fa))]), np.vstack([c, np.ones(len(Fb)), q_b])
+        a = np.broadcast_to(Fa, (len(c), *Fa.shape))
+        A = np.concatenate([a, q_a[..., None], np.ones((len(c), len(Fa), 1))], -1)
+        return A, np.concatenate([c, np.ones((len(c), 1, nb)), q_b[:, None]], -2)
 
     square = np.iscomplexobj(K)
-    if square:
-        A, G = factors(qa.real, cross.real, qb.real)
-        Ai, Gi = factors(qa.imag, cross.imag, qb.imag)
-    else:
-        A, G = factors(qa, cross, qb)
-    rows = max(1, _BLOCK // len(Fb))
-    best_val, best_idx = -1.0, 0
-    for start in range(0, len(Fa), rows):
-        vals = A[start : start + rows] @ G
+    for k in range(0, len(Ks), per):
+        Kc = Ks[k : k + per]
+        qa = np.einsum("...ij,ij->...i", Fa @ Kc[:, :ka, :ka], Fa)
+        qb = np.einsum("...ij,ij->...i", Fb @ Kc[:, ka:, ka:], Fb)
+        cross = (Kc[:, :ka, ka:] + np.swapaxes(Kc[:, ka:, :ka], -1, -2)) @ Fb.T
         if square:
-            im = Ai[start : start + rows] @ Gi
-            vals *= vals
-            vals += np.multiply(im, im, out=im)
+            A, G = factors(qa.real, cross.real, qb.real)
+            Ai, Gi = factors(qa.imag, cross.imag, qb.imag)
         else:
-            np.abs(vals, out=vals)
-        j = int(np.argmax(vals))
-        if vals.flat[j] > best_val:
-            best_val, best_idx = float(vals.flat[j]), start * len(Fb) + j
-    i, j = divmod(best_idx, len(Fb))
-    return math.sqrt(best_val) if square else best_val, np.concatenate([Fa[i], Fb[j]])
+            A, G = factors(qa, cross, qb)
+        vals = np.empty((len(Kc), min(rows, len(Fa)), nb))
+        im = np.empty_like(vals)
+        for start in range(0, len(Fa), rows):
+            np.matmul(A[:, start : start + rows], G, out=vals)
+            if square:
+                np.matmul(Ai[:, start : start + rows], Gi, out=im)
+                vals *= vals
+                vals += np.multiply(im, im, out=im)
+            else:
+                np.abs(vals, out=vals)
+            j = np.argmax(vals.reshape(len(Kc), -1), axis=1)
+            v = vals.reshape(len(Kc), -1)[np.arange(len(Kc)), j]
+            won = v > best_val[k : k + per]
+            best_val[k : k + per] = np.where(won, v, best_val[k : k + per])
+            best_idx[k : k + per] = np.where(won, start * nb + j, best_idx[k : k + per])
+    i, j = np.divmod(best_idx, nb)
+    best, fs = np.sqrt(best_val) if square else best_val, np.concatenate([Fa[i], Fb[j]], axis=-1)
+    if K.ndim == 2:
+        return float(best[0]), fs[0]
+    return best.reshape(K.shape[:-2]), fs.reshape(*K.shape[:-2], m)
 
 
 def max_advantage_bruteforce(adv: AdversarySpec, R):
@@ -288,7 +315,8 @@ def max_advantage_bruteforce(adv: AdversarySpec, R):
     the rest is the meet-in-the-middle search of `max_abs_quadratic` on
     Re(B), which is exact because f^T B f = f^T Re(B) f for real f.  Returns
     (advantage, maximizing f); ties break to the lexicographically first
-    maximizer.  An M above BRUTEFORCE_CUTOFF is refused before B is built.
+    maximizer; a stack of families (..., K, N) gives arrays (...) and (..., M).
+    An M above BRUTEFORCE_CUTOFF is refused before B is built.
     """
     check_bruteforce_size(adv.M)
     return max_abs_quadratic(np.real(advantage_kernel(adv, R)))
@@ -299,10 +327,11 @@ def max_advantage_localsearch(
 ):
     """Heuristic lower bound on the maximum advantage via sign-flip hill climbing.
 
-    Each restart starts from a random sign vector and repeatedly takes the
-    best single-coordinate flip that increases |f^T B f|, using O(M)
-    incremental updates of the gradient g = B f.  The result is locally
-    maximal, hence always <= the true maximum.
+    Restart r starts from random signs drawn from rng.child(r) and repeatedly
+    takes the best single-coordinate flip that increases |f^T B f|, using O(M)
+    updates of the gradient g = B f.  The restarts climb in lockstep, one array
+    step for those still climbing; the first with the largest value wins.  The
+    result is locally maximal, hence always <= the true maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -310,26 +339,26 @@ def max_advantage_localsearch(
     B = advantage_kernel(adv, R)
     m = B.shape[0]
     diag = np.real(np.diagonal(B))
-    best_val, best_f = -1.0, np.ones(m)
-    for r in range(restarts):
-        f = random_sign_array(rng.child(r).generator(), m)
-        grad = B @ f
-        q = float(np.real(f @ grad))
-        improved = True
-        while improved:
-            improved = False
-            # Flipping coordinate i changes q by -2 f_i s_i.
-            s = 2.0 * np.real(grad) - 2.0 * diag * f
-            cand = np.abs(q - 2.0 * f * s)
-            i = int(np.argmax(cand))
-            if cand[i] > abs(q) + 1e-12:
-                grad = grad - 2.0 * f[i] * B[:, i]
-                q = float(q - 2.0 * f[i] * s[i])
-                f[i] = -f[i]
-                improved = True
-        if abs(q) > best_val:
-            best_val, best_f = abs(q), f.copy()
-    return best_val, best_f
+    cols = np.ascontiguousarray(B.T)  # cols[i] = B[:, i]
+    F = np.array([random_sign_array(rng.child(r).generator(), m) for r in range(restarts)])
+    G = np.array([B @ f for f in F])
+    q = np.array([np.real(f @ g) for f, g in zip(F, G)])
+    live = np.arange(restarts)
+    while live.size:
+        f, q_live = F[live], q[live]
+        # Flipping coordinate i changes q by -2 f_i s_i.
+        s = 2.0 * G.real[live] - 2.0 * diag * f
+        cand = np.abs(q_live[:, None] - 2.0 * f * s)
+        i = np.argmax(cand, axis=1)
+        rows = np.arange(live.size)
+        up = cand[rows, i] > np.abs(q_live) + 1e-12
+        live, i, rows = live[up], i[up], rows[up]
+        fi = f[rows, i]
+        G[live] -= 2.0 * fi[:, None] * cols[i]
+        q[live] = q_live[rows] - 2.0 * fi * s[rows, i]
+        F[live, i] = -fi
+    best = int(np.argmax(np.abs(q)))
+    return float(abs(q[best])), F[best]
 
 
 def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> float:

@@ -153,7 +153,7 @@ def _route_norms(a: np.ndarray, hermitian: bool) -> np.ndarray:
     """Norms of a stack on one route: eigvalsh of a, or of its smaller Gram matrix."""
     if hermitian:
         w = np.linalg.eigvalsh(a)
-        return np.maximum(w[..., -1], -w[..., 0])
+        return np.maximum(w[..., -1], -w[..., 0]) + 0.0  # a zero matrix gives max(0, -0) = -0.0
     ah = np.swapaxes(a.conj(), -1, -2)
     gram = ah @ a if a.shape[-2] >= a.shape[-1] else a @ ah
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))

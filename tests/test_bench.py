@@ -116,6 +116,17 @@ class TestTruncatedConjugationSampler:
         for _ in range(50):
             assert operator_norm(sampler(g)) <= bound + 1e-9
 
+    @pytest.mark.parametrize("count", [1, 5, 70])
+    def test_a_stack_equals_successive_draws(self, count):
+        V = random_isometry(5, 10, RngStream(26))
+        Pi = random_projector(10, 5, RngStream(27))
+        sampler, _ = truncated_conjugation_sampler(V, Pi, B=1.5)
+        g, h = RngStream(28).generator(), RngStream(28).generator()
+        stack = sampler(g, count)
+        assert stack.shape == (count, 10, 10)
+        np.testing.assert_array_equal(stack, np.stack([sampler(h) for _ in range(count)]))
+        np.testing.assert_array_equal(sampler(g), sampler(h))  # both streams end in step
+
 
 class _FixedSignGenerator:
     """Stands in for a Generator, emitting one prescribed sign pattern."""
@@ -259,6 +270,13 @@ class TestAdvantageTail:
 
 
 class TestDefaultSuite:
+    def test_same_reports_for_any_thread_count(self, monkeypatch):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(numerics.THREADS_ENV, threads)
+            reports.append(default_suite(seed=6, samples=150))
+        assert reports[0] == reports[1]
+
     def test_six_reports_deterministic(self):
         a = default_suite(seed=5, samples=160)
         b = default_suite(seed=5, samples=160)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestRun:
         values = run(cfg)["values"]
         assert values["truncated_spectral_error"] >= 0.0
         assert "truncated_spectral_stderr" not in values
+
+    def test_relax_record_without_clipping_has_positive_zero_error(self):
+        cfg = ExperimentConfig(
+            kind="relaxation", params={"N": 8, "M": 16, "K": 4, "rank": 8, "B": 100.0, "samples": 200}, seed=3
+        )
+        values = run(cfg)["values"]
+        assert values["truncated_spectral"] == values["spectral"]
+        assert math.copysign(1.0, values["truncated_spectral_error"]) == 1.0
+        assert values["truncated_spectral_error"] == 0.0
 
     def test_records_append(self, tmp_path):
         out = tmp_path / "records.jsonl"

@@ -55,6 +55,39 @@ def _lexfirst_max(B):
     return vals[i], fs[i]
 
 
+def _reference_localsearch(B, restarts, rng):
+    """The per-restart hill climb: each restart climbs alone from rng.child(r)'s signs."""
+    m = B.shape[0]
+    diag = np.real(np.diagonal(B))
+    best_val, best_f = -1.0, np.ones(m)
+    for r in range(restarts):
+        f = random_sign_array(rng.child(r).generator(), m)
+        grad = B @ f
+        q = float(np.real(f @ grad))
+        improved = True
+        while improved:
+            improved = False
+            s = 2.0 * np.real(grad) - 2.0 * diag * f
+            cand = np.abs(q - 2.0 * f * s)
+            i = int(np.argmax(cand))
+            if cand[i] > abs(q) + 1e-12:
+                grad = grad - 2.0 * f[i] * B[:, i]
+                q = float(q - 2.0 * f[i] * s[i])
+                f[i] = -f[i]
+                improved = True
+        if abs(q) > best_val:
+            best_val, best_f = abs(q), f.copy()
+    return best_val, best_f
+
+
+def _random_kernels(shape, m, seed, complex_=False):
+    g = np.random.default_rng(seed)
+    K = g.standard_normal((*shape, m, m))
+    if complex_:
+        K = K + 1j * g.standard_normal((*shape, m, m))
+    return K
+
+
 class TestValidatorsAndStates:
     def test_check_signs_rejects_nonsign(self):
         with pytest.raises(ValueError):
@@ -285,6 +318,94 @@ class TestLocalSearch:
         b = max_advantage_localsearch(adv, R, rng=RngStream(52))
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
+
+
+class TestLockstepLocalSearch:
+    """The lockstep climb equals the per-restart loop bit for bit, value and witness."""
+
+    @staticmethod
+    def _run(monkeypatch, B, restarts, seed):
+        monkeypatch.setattr(game, "advantage_kernel", lambda adv, R: B)
+        return max_advantage_localsearch(None, None, restarts=restarts, rng=RngStream(seed))
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_restart_loop(self, m, restarts, seed):
+        K = _random_kernels((), m, seed, complex_=True)
+        B = K + K.conj().T
+        with pytest.MonkeyPatch.context() as mp:
+            val, f = self._run(mp, B, restarts, seed)
+        ref_val, ref_f = _reference_localsearch(B, restarts, RngStream(seed))
+        assert val == ref_val
+        np.testing.assert_array_equal(f, ref_f)
+
+    @pytest.mark.parametrize(
+        "B",
+        [np.zeros((7, 7)), np.ones((9, 9)), np.diag([1.0, -1.0] * 5)],
+        ids=["zero", "tied", "diag"],
+    )
+    def test_zero_and_tied_kernels(self, monkeypatch, B):
+        val, f = self._run(monkeypatch, B, 6, 3)
+        ref_val, ref_f = _reference_localsearch(B, 6, RngStream(3))
+        assert val == ref_val
+        np.testing.assert_array_equal(f, ref_f)
+
+    def test_on_an_adversary_kernel(self):
+        adv = _random_adversary(16, 48, 24, 90)
+        R = random_family(8, 16, RngStream(91))
+        val, f = max_advantage_localsearch(adv, R, restarts=5, rng=RngStream(92))
+        ref_val, ref_f = _reference_localsearch(advantage_kernel(adv, R), 5, RngStream(92))
+        assert val == ref_val
+        np.testing.assert_array_equal(f, ref_f)
+
+
+class TestStackedSearch:
+    """Stacked kernels, families and searches equal a loop of single calls bit for bit."""
+
+    @staticmethod
+    def _assert_stack_matches_loop(K):
+        vals, fs = max_abs_quadratic(K)
+        assert vals.shape == K.shape[:-2] and fs.shape == K.shape[:-1]
+        for idx in np.ndindex(K.shape[:-2]):
+            v, f = max_abs_quadratic(K[idx])
+            assert vals[idx] == v
+            np.testing.assert_array_equal(fs[idx], f)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_max_abs_quadratic(self, m, complex_):
+        K = _random_kernels((5,), m, 100 + m, complex_)
+        K[2] = 0.0  # ties: all-ones wins
+        self._assert_stack_matches_loop(K)
+        np.testing.assert_array_equal(max_abs_quadratic(K)[1][2], np.ones(m))
+
+    def test_stack_of_stacks_and_more_kernels_than_one_block(self):
+        # 40 kernels at M = 12 take two blocks of kernels.
+        self._assert_stack_matches_loop(_random_kernels((4, 10), 12, 7))
+
+    def test_two_kernels_each_larger_than_one_block(self):
+        # At M = 18 one search holds 2^17 values, so each kernel takes two row blocks.
+        self._assert_stack_matches_loop(_random_kernels((2,), 18, 8))
+
+    def test_bruteforce_kernel_and_advantage_over_families(self):
+        adv = _random_adversary(6, 10, 5, 110)
+        stack = random_family(7 * 4, 6, RngStream(111)).reshape(7, 4, 6)
+        stack[3] = stack[3, :1]  # one family repeats one row
+        kernels = advantage_kernel(adv, stack)
+        vals, fs = max_advantage_bruteforce(adv, stack)
+        f = random_sign_array(RngStream(112).generator(), 10)
+        gaps = advantage_given_f(adv, stack, f)
+        assert kernels.shape == (7, 10, 10) and gaps.shape == (7,)
+        for k, R in enumerate(stack):
+            np.testing.assert_array_equal(kernels[k], advantage_kernel(adv, R))
+            v, w = max_advantage_bruteforce(adv, R)
+            assert vals[k] == v
+            np.testing.assert_array_equal(fs[k], w)
+            assert gaps[k] == advantage_given_f(adv, R, f)
 
 
 class TestSimulateGame:

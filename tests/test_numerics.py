@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,11 @@ class TestOperatorNorm:
         if hermitian:
             a = a + a.conj().T
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+    def test_zero_matrices_give_positive_zero(self):
+        assert math.copysign(1.0, operator_norm(np.zeros((4, 4)))) == 1.0
+        norms = operator_norm(np.zeros((3, 4, 4)))
+        assert np.all(np.copysign(1.0, norms) == 1.0)
 
     def test_zero_and_one_by_one(self):
         assert operator_norm(np.zeros((5, 5))) == 0.0
