@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import AdversarySpec, check_family, phase_state, random_family, simulate_game
-from .numerics import CapacityError, RngStream, check_unit_vector, span_basis, tv_distance
+from .numerics import CapacityError, RngStream, check_norm_budget, check_unit_vector
+from .numerics import span_basis, tv_distance
 
 __all__ = [
     "HadamardAttackReport",
@@ -124,6 +125,8 @@ def hadamard_attack_report(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     N = 1 << n
+    if trials > 0:
+        check_norm_budget((2 * N, 2 * N))  # the game encoding is a dense 2N x 2N projector
     exacts = np.empty(draws)
     xs = np.empty(draws)
     mc = 0.0

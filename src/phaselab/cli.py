@@ -157,7 +157,9 @@ def run(config: ExperimentConfig) -> dict:
             adv = load_instance(config.instance)
             if not isinstance(adv, AdversarySpec):
                 raise ValueError("game --instance must be an adversary file")
+            check_norm_budget((adv.M, adv.M))
         else:
+            check_norm_budget((p["M"], p["M"]))  # every route builds M x M matrices
             adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
         R = random_family(p["K"], adv.N, rng.child(1))
         if adv.M <= BRUTEFORCE_CUTOFF and not p.get("localsearch"):

@@ -299,6 +299,8 @@ def subset_norm_conjecture(
         raise CapacityError(f"2^{L} subsets exceed the brute-force cutoff {SUBSET_CUTOFF}")
     if mode not in ("brute", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "greedy" and restarts < 1:
+        raise ValueError("restarts must be >= 1")
     terms = _subset_value_terms(projectors, states)
     if mode == "brute":
         return _brute_subset_max(terms)

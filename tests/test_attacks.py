@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselab import attacks, numerics
 from phaselab.attacks import (
     BV_DIMENSION_CAP,
     advice_state_adversary,
@@ -123,6 +124,21 @@ class TestAttackReport:
         a = hadamard_attack_report(4, 4, draws=10, trials=1000, rng=RngStream(7))
         b = hadamard_attack_report(4, 4, draws=10, trials=1000, rng=RngStream(7))
         assert a == b
+
+    def test_oversize_encoding_refused_before_drawing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(attacks, "random_family", lambda *a: calls.append(a))
+        monkeypatch.setattr(attacks, "hadamard_game_encoding", lambda *a: calls.append(a))
+        with pytest.raises(CapacityError, match="dimension budget 4096"):
+            hadamard_attack_report(12, 4, draws=2, trials=1, rng=RngStream(8))
+        assert calls == []
+
+    def test_budget_applies_only_with_trials(self, monkeypatch):
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
+        with pytest.raises(CapacityError):
+            hadamard_attack_report(3, 4, draws=2, trials=10, rng=RngStream(9))
+        rep = hadamard_attack_report(3, 4, draws=2, trials=0, rng=RngStream(9))
+        assert rep.monte_carlo_advantage == 0.0
 
 
 class TestOmniscient:

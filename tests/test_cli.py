@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab import cli, relaxations
+from phaselab import attacks, cli, numerics, relaxations
 from phaselab.bench import BENCHES
 from phaselab.cli import ExperimentConfig, _build_parser, load_instance, main, run, save_instance
 from phaselab.game import BRUTEFORCE_CUTOFF, AdversarySpec, random_family
@@ -300,6 +300,48 @@ class TestMain:
         assert "4096" in captured.err
         assert captured.out == ""
         assert drawn == []
+
+    def test_greedy_conjecture_without_restarts_is_invalid_input(self, capsys):
+        argv = ["conjecture", "--N", "4", "--L", "4", "--K", "2", "--mode", "greedy"]
+        code = main([*argv, "--restarts", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "restarts must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_oversize_attack_refused_before_drawing(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(attacks, "random_family", lambda *a: calls.append(a))
+        monkeypatch.setattr(attacks, "hadamard_game_encoding", lambda *a: calls.append(a))
+        code = main(["attack", "--n", "12", "--K", "4", "--draws", "2", "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "4096" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
+    def test_oversize_game_refused_before_drawing(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "random_family", lambda *a: calls.append(a))
+        code = main(["game", "--M", "4097", "--localsearch"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "4096" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
+    def test_oversize_game_instance_refused_before_drawing(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "adv.json"
+        save_instance(_adversary(), str(path))
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 5)
+        calls = []
+        monkeypatch.setattr(cli, "random_family", lambda *a: calls.append(a))
+        code = main(["game", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "budget 5" in captured.err
+        assert calls == []
 
     def test_out_file_written(self, tmp_path):
         out = tmp_path / "r.jsonl"

@@ -363,6 +363,149 @@ class TestLockstepLocalSearch:
         np.testing.assert_array_equal(f, ref_f)
 
 
+def _lex_signs(m, idx):
+    """The sign vectors f with f_1 = +1 at lexicographic indices idx."""
+    idx = np.asarray(idx)[..., None]
+    tail = 1.0 - 2.0 * ((idx >> np.arange(m - 2, -1, -1)) & 1)
+    return np.concatenate([np.ones_like(tail[..., :1]), tail], axis=-1)
+
+
+def _lex_values(K):
+    """|f^T K f| for every f with f_1 = +1, in lexicographic order, by chunked enumeration."""
+    m, out = K.shape[0], []
+    for start in range(0, 1 << (m - 1), 1 << 14):
+        F = _lex_signs(m, np.arange(start, min(start + (1 << 14), 1 << (m - 1))))
+        out.append(np.abs(np.sum((F @ K) * F, axis=1)))
+    return np.concatenate(out)
+
+
+def _structured_kernel(kind, m, seed, complex_):
+    K = _random_kernels((), m, seed, complex_)
+    ka = (m + 1) // 2
+    if kind == "rank1":
+        K = np.outer(K[0], K[1])
+    elif kind == "blockdiag":  # K_ab = K_ba = 0: v = q_a + q_b
+        K[:ka, ka:] = K[ka:, :ka] = 0.0
+    elif kind == "tied":  # q_a = (sum a)^2 ties across many rows, no cross term
+        K[:ka, :ka], K[:ka, ka:], K[ka:, :ka] = 1.0, 0.0, 0.0
+    return K
+
+
+class TestPrunedSearch:
+    """The search that skips bounded-out a-rows equals the full scan bit for bit."""
+
+    @staticmethod
+    def _full_scan(K):
+        """The search with nothing skipped: every row bound is infinite."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "_row_bounds", lambda Fa, *a: (np.full(len(Fa), np.inf), 0.0))
+            return max_abs_quadratic(K)
+
+    def _assert_matches_full_scan(self, K):
+        val, f = max_abs_quadratic(K)
+        ref_val, ref_f = self._full_scan(K)
+        assert val == ref_val
+        np.testing.assert_array_equal(f, ref_f)
+        return val, f
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from(["random", "rank1", "blockdiag", "tied"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_bound_covers_every_value(self, m, complex_, seed, exponent, kind):
+        K = _structured_kernel(kind, m, seed, complex_) * 10.0**exponent
+        ka = (m + 1) // 2
+        Fa, Fb = sign_rows(ka)[: 1 << (ka - 1)], sign_rows(m - ka)
+        qa = np.sum((Fa @ K[:ka, :ka]) * Fa, axis=1)
+        qb = np.sum((Fb @ K[ka:, ka:]) * Fb, axis=1)
+        U, slack = game._row_bounds(Fa, qa, K[:ka, ka:] + K[ka:, :ka].T, qb)
+        vals = _lex_values(K)
+        assert np.all(vals.reshape(len(Fa), len(Fb)) <= (U + slack)[:, None])
+        assert np.all(slack <= 1e-8 * (np.abs(qa) + np.abs(K).sum() * 2 + np.abs(qb).max()))
+
+    @pytest.mark.parametrize("m", range(13, 21))
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_lexicographic_enumeration(self, m, complex_):
+        K = _random_kernels((), m, 200 + m, complex_)
+        val, f = self._assert_matches_full_scan(K)
+        vals = _lex_values(K)
+        assert val == pytest.approx(vals.max(), rel=1e-13)
+        np.testing.assert_array_equal(f, _lex_signs(m, np.argmax(vals >= vals.max() * (1 - 1e-13))))
+
+    @given(
+        st.integers(min_value=17, max_value=20),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["random", "rank1", "blockdiag", "tied"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_structured_kernels_match_the_full_scan(self, m, complex_, seed, kind):
+        self._assert_matches_full_scan(_structured_kernel(kind, m, seed, complex_))
+
+    @pytest.mark.parametrize("kind", ["blockdiag", "tied"])
+    def test_planted_ties_give_the_first_maximizer(self, kind):
+        K = _structured_kernel(kind, 18, 5, False)
+        val, f = self._assert_matches_full_scan(K)
+        vals = _lex_values(K)
+        assert np.sum(vals >= val * (1 - 1e-13)) > 1
+        np.testing.assert_array_equal(f, _lex_signs(18, np.argmax(vals >= val * (1 - 1e-13))))
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            np.zeros((18, 18)),
+            np.diag(np.linspace(-1.0, 2.0, 18)),
+            np.outer(np.arange(18.0), np.ones(18)),
+        ],
+        ids=["zero", "diagonal", "rank1"],
+    )
+    def test_degenerate_kernels(self, K):
+        val, f = self._assert_matches_full_scan(K)
+        vals = _lex_values(K)
+        assert val == pytest.approx(vals.max(), abs=1e-12)
+        np.testing.assert_array_equal(f, _lex_signs(18, np.argmax(vals >= vals.max() - 1e-12)))
+
+    def test_a_lone_kept_row_gets_the_full_scan_bits(self):
+        # A generic rank-1 kernel's row bound is its row maximum, so one row is kept; numpy
+        # would run a one-row GEMM as gemv, with other bits.
+        for seed in range(10):
+            x = np.random.default_rng(seed).standard_normal(20)
+            self._assert_matches_full_scan(np.outer(x, x))
+
+    def test_fewer_rows_scored_on_an_adversary_kernel(self, monkeypatch):
+        adv = _random_adversary(8, 20, 10, 120)
+        K = np.real(advantage_kernel(adv, random_family(4, 8, RngStream(121))))
+        scored = []
+        matmul = np.matmul
+
+        def spy(a, b, **kw):
+            scored.append(a.shape[-2])
+            return matmul(a, b, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "matmul", spy)
+            val, f = max_abs_quadratic(K)
+        assert 0 < sum(scored) < 1 << 9  # the seed's rows and the kept rows, of 2^(ka - 1)
+        ref_val, ref_f = self._full_scan(K)
+        assert val == ref_val
+        np.testing.assert_array_equal(f, ref_f)
+
+    def test_sign_table_is_read_only_and_unchanged_by_a_search(self):
+        before = sign_rows(9).copy()
+        max_abs_quadratic(_random_kernels((), 18, 9))
+        adv = _random_adversary(4, 18, 9, 10)
+        max_advantage_bruteforce(adv, random_family(2, 4, RngStream(11)))
+        assert sign_rows(9) is sign_rows(9)
+        assert not sign_rows(9).flags.writeable
+        np.testing.assert_array_equal(sign_rows(9), before)
+        with pytest.raises(ValueError):
+            sign_rows(9)[0, 0] = 1.0
+
+
 class TestStackedSearch:
     """Stacked kernels, families and searches equal a loop of single calls bit for bit."""
 

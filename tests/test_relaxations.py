@@ -545,6 +545,12 @@ class TestSubsetNormConjecture:
         subset_norm_conjecture(projs, states, mode="greedy", restarts=4)
         assert routes and all(routes)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_greedy_rejects_no_restarts(self, restarts):
+        projs = _projector_resolution(8, 4, 53)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            subset_norm_conjecture(projs, _unit_states(4, 2, 54), mode="greedy", restarts=restarts)
+
     def test_greedy_matches_the_per_candidate_loop(self):
         projs = _projector_resolution(12, 6, 50)
         states = _unit_states(4, 3, 51)
