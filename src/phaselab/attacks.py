@@ -124,6 +124,8 @@ def hadamard_attack_report(
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     N = 1 << n
     if trials > 0:
         check_norm_budget((2 * N, 2 * N))  # the game encoding is a dense 2N x 2N projector

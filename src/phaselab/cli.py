@@ -14,13 +14,14 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .attacks import hadamard_attack_report
-from .bench import BENCHES, default_suite, width_tail_bench
+from .bench import BENCHES, width_tail_bench
 from .compression import verify_one_query_simulation
 from .game import (
     AdversarySpec,
@@ -39,6 +40,8 @@ from .relaxations import (
 )
 
 __all__ = [
+    "COMMANDS",
+    "Command",
     "ExperimentConfig",
     "run",
     "save_instance",
@@ -60,23 +63,19 @@ class ExperimentConfig:
     instance: str | None = None
 
 
-def _flatten_complex(a: np.ndarray) -> tuple[list, list]:
+def _flatten_complex(name: str, a: np.ndarray) -> dict:
     flat = np.asarray(a, dtype=np.complex128).ravel()
-    return flat.real.tolist(), flat.imag.tolist()
+    return {f"{name}_re": flat.real.tolist(), f"{name}_im": flat.imag.tolist()}
 
 
 def save_instance(obj, path: str) -> None:
     if isinstance(obj, AdversarySpec):
-        v_re, v_im = _flatten_complex(obj.V)
-        p_re, p_im = _flatten_complex(obj.Pi)
         doc = {
             "kind": "adversary",
             "N": obj.N,
             "M": obj.M,
-            "V_re": v_re,
-            "V_im": v_im,
-            "Pi_re": p_re,
-            "Pi_im": p_im,
+            **_flatten_complex("V", obj.V),
+            **_flatten_complex("Pi", obj.Pi),
         }
     else:
         arr = np.asarray(obj)
@@ -99,6 +98,11 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+def _complex_field(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    re, im = (np.asarray(_field(doc, name + part), dtype=np.float64) for part in ("_re", "_im"))
+    return (re + 1j * im).reshape(shape)
+
+
 def load_instance(path: str):
     """Load an adversary or family; validates invariants with measured residuals."""
     with open(path) as fh:
@@ -106,14 +110,7 @@ def load_instance(path: str):
     kind = _field(doc, "kind")
     if kind == "adversary":
         N, M = int(_field(doc, "N")), int(_field(doc, "M"))
-        V = (
-            np.asarray(_field(doc, "V_re"), dtype=np.float64)
-            + 1j * np.asarray(_field(doc, "V_im"), dtype=np.float64)
-        ).reshape(M, N)
-        Pi = (
-            np.asarray(_field(doc, "Pi_re"), dtype=np.float64)
-            + 1j * np.asarray(_field(doc, "Pi_im"), dtype=np.float64)
-        ).reshape(M, M)
+        V, Pi = _complex_field(doc, "V", (M, N)), _complex_field(doc, "Pi", (M, M))
         return AdversarySpec(V=V, Pi=Pi)  # validation reports residuals
     if kind == "family":
         K, N = int(_field(doc, "K")), int(_field(doc, "N"))
@@ -145,111 +142,181 @@ def _report_dict(rep) -> dict:
     }
 
 
-def run(config: ExperimentConfig) -> dict:
-    """Dispatch a config to the right module and return the result record."""
-    rng = RngStream(config.seed)
-    p = config.params
-    start = time.perf_counter()
-    values: dict
-
-    if config.kind == "game":
-        if config.instance:
-            adv = load_instance(config.instance)
-            if not isinstance(adv, AdversarySpec):
-                raise ValueError("game --instance must be an adversary file")
-            check_norm_budget((adv.M, adv.M))
-        else:
-            check_norm_budget((p["M"], p["M"]))  # every route builds M x M matrices
-            adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
-        R = random_family(p["K"], adv.N, rng.child(1))
-        if adv.M <= BRUTEFORCE_CUTOFF and not p.get("localsearch"):
-            best, f = max_advantage_bruteforce(adv, R)
-            method, bound = "bruteforce", "exact"
-        else:
-            best, f = max_advantage_localsearch(
-                adv, R, restarts=p.get("restarts", 20), rng=rng.child(2)
-            )
-            method, bound = "localsearch", "lower"
-        win = simulate_game(adv, R, f, p["trials"], rng.child(3))
-        values = {"max_advantage": best, "method": method, "bound": bound, "win_rate": win}
-    elif config.kind == "attack-hadamard":
-        rep = hadamard_attack_report(
-            p["n"], p["K"], p.get("draws", 200), p["trials"], rng
-        )
-        values = {
-            "exact_advantage_mean": rep.exact_advantage,
-            "monte_carlo_advantage": rep.monte_carlo_advantage,
-            "x_statistic_mean": rep.x_statistic_mean,
-            "x_statistic_variance": rep.x_statistic_variance,
-        }
-    elif config.kind == "relaxation":
-        check_norm_budget((p["M"], p["M"]))  # every relaxation is the norm of an M x M matrix
-        adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
-        R = random_family(p["K"], adv.N, rng.child(1))
-        Rp = random_family(p["K"], adv.N, rng.child(2))
-        values = {
-            "spectral": spectral_relaxation(adv, R),
-            "decoupled_spectral": decoupled_spectral_relaxation(adv, R, Rp),
-        }
-        if p.get("B") is not None:
-            val, err = truncated_spectral_relaxation(
-                adv, R, p["B"], samples=p.get("samples", 10_000), rng=rng.child(3)
-            )
-            values["truncated_spectral"] = val
-            values["truncated_spectral_error"] = err
-    elif config.kind == "width":
-        V = random_isometry(p["N"], p["M"], rng.child(0))
-        rep = width_tail_bench(V, p["K"], p.get("samples", 200), rng.child(1))
-        values = _report_dict(rep)
-    elif config.kind.startswith("bench"):
-        name = p.get("name", "all")
-        samples = p.get("samples", 500)
-        if name == "all":
-            reports = default_suite(seed=config.seed, samples=samples)
-        elif name in BENCHES:
-            reports = BENCHES[name](rng, samples)
-        else:
-            raise ValueError(f"unknown bench name {name!r}")
-        values = {
-            "reports": [_report_dict(r) for r in reports],
-            "all_passed": all(r.passed for r in reports),
-        }
-    elif config.kind == "conjecture":
-        N, P, L, K = p["N"], p.get("P", 2), p["L"], p["K"]
-        dim = N * P
-        if L < 1 or dim % L != 0:
-            raise ValueError(f"projector count {L} must be a positive divisor of dimension {dim}")
-        U = random_isometry(dim, dim, rng.child(0))
-        block = dim // L
-        projectors = [
-            U[:, i * block : (i + 1) * block] @ U[:, i * block : (i + 1) * block].conj().T
-            for i in range(L)
-        ]
-        g = rng.child(1).generator()
-        states = []
-        for _ in range(K):
-            s = g.standard_normal(N) + 1j * g.standard_normal(N)
-            states.append(s / np.linalg.norm(s))
-        val, witness = subset_norm_conjecture(
-            projectors,
-            states,
-            mode=p.get("mode", "brute"),
-            restarts=p.get("restarts", 32),
-            rng=rng.child(2),
-        )
-        values = {"value": val, "witness": list(witness)}
-    elif config.kind == "compression-verify":
-        D, L, S = p["D"], p["L"], p["S"]
-        adv = _random_adversary(D, L * S, p.get("rank", (L * S) // 2), rng)
-        dev = verify_one_query_simulation(adv, L, p.get("trials", 50), rng.child(2))
-        values = {"max_deviation": dev, "passed": dev <= 1e-8}
+def _game(p: dict, rng: RngStream, instance: str | None) -> dict:
+    if instance:
+        adv = load_instance(instance)
+        if not isinstance(adv, AdversarySpec):
+            raise ValueError("game --instance must be an adversary file")
+        check_norm_budget((adv.M, adv.M))
     else:
-        raise ValueError(f"unknown experiment kind {config.kind!r}")
+        adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
+    R = random_family(p["K"], adv.N, rng.child(1))
+    if adv.M <= BRUTEFORCE_CUTOFF and not p["localsearch"]:
+        best, f = max_advantage_bruteforce(adv, R)
+        method, bound = "bruteforce", "exact"
+    else:
+        best, f = max_advantage_localsearch(adv, R, restarts=p["restarts"], rng=rng.child(2))
+        method, bound = "localsearch", "lower"
+    win = simulate_game(adv, R, f, p["trials"], rng.child(3))
+    return {"max_advantage": best, "method": method, "bound": bound, "win_rate": win}
 
+
+def _attack(p: dict, rng: RngStream, instance: str | None) -> dict:
+    rep = hadamard_attack_report(p["n"], p["K"], p["draws"], p["trials"], rng)
+    return {
+        "exact_advantage_mean": rep.exact_advantage,
+        "monte_carlo_advantage": rep.monte_carlo_advantage,
+        "x_statistic_mean": rep.x_statistic_mean,
+        "x_statistic_variance": rep.x_statistic_variance,
+    }
+
+
+def _relax(p: dict, rng: RngStream, instance: str | None) -> dict:
+    adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
+    R = random_family(p["K"], adv.N, rng.child(1))
+    Rp = random_family(p["K"], adv.N, rng.child(2))
+    values = {
+        "spectral": spectral_relaxation(adv, R),
+        "decoupled_spectral": decoupled_spectral_relaxation(adv, R, Rp),
+    }
+    if p.get("B") is not None:
+        val, err = truncated_spectral_relaxation(
+            adv, R, p["B"], samples=p["samples"], rng=rng.child(3)
+        )
+        values["truncated_spectral"] = val
+        values["truncated_spectral_error"] = err
+    return values
+
+
+def _width(p: dict, rng: RngStream, instance: str | None) -> dict:
+    V = random_isometry(p["N"], p["M"], rng.child(0))
+    return _report_dict(width_tail_bench(V, p["K"], p["samples"], rng.child(1)))
+
+
+def _bench(p: dict, rng: RngStream, instance: str | None) -> dict:
+    if p["name"] not in ("all", *BENCHES):
+        raise ValueError(f"unknown bench name {p['name']!r}")
+    names = BENCHES if p["name"] == "all" else [p["name"]]  # "all" runs default_suite
+    reports = [rep for name in names for rep in BENCHES[name](rng, p["samples"])]
+    return {
+        "reports": [_report_dict(r) for r in reports],
+        "all_passed": all(r.passed for r in reports),
+    }
+
+
+def _conjecture(p: dict, rng: RngStream, instance: str | None) -> dict:
+    N, L, K = p["N"], p["L"], p["K"]
+    dim = N * p["P"]
+    if L < 1 or dim % L != 0:
+        raise ValueError(f"projector count {L} must be a positive divisor of dimension {dim}")
+    U = random_isometry(dim, dim, rng.child(0))
+    projectors = [u @ u.conj().T for u in np.split(U, L, axis=1)]
+    g = rng.child(1).generator()
+    states = [g.standard_normal(N) + 1j * g.standard_normal(N) for _ in range(K)]
+    states = [s / np.linalg.norm(s) for s in states]
+    val, witness = subset_norm_conjecture(
+        projectors, states, mode=p["mode"], restarts=p["restarts"], rng=rng.child(2)
+    )
+    return {"value": val, "witness": list(witness)}
+
+
+def _compress(p: dict, rng: RngStream, instance: str | None) -> dict:
+    L, S = p["L"], p["S"]
+    adv = _random_adversary(p["D"], L * S, (L * S) // 2, rng)
+    dev = verify_one_query_simulation(adv, L, p["trials"], rng.child(2))
+    return {"max_deviation": dev, "passed": dev <= 1e-8}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: record kind, help, flags, size budget and runner.
+
+    A flag is stated by its default: an int, float or str default sets the type,
+    False makes a switch, a tuple lists the choices (default first), and a bare
+    type makes an optional flag.  ``budget`` maps the params to the shape of the
+    largest dense matrix the run builds, refused over the operator-norm budget
+    before any draw; ``runner`` maps (params, root stream, instance path) to values.
+    """
+
+    kind: str
+    help: str
+    flags: dict
+    budget: Callable[[dict], tuple] | None
+    runner: Callable[[dict, RngStream, str | None], dict]
+
+
+COMMANDS = {
+    "game": Command(
+        "game", "play/maximize the distinguishing game",
+        {"N": 8, "M": 10, "K": 4, "rank": int, "trials": 10_000, "restarts": 20,
+         "localsearch": False, "instance": str},
+        lambda p: (p["M"], p["M"]), _game,  # an --instance is also checked on its own M
+    ),
+    "attack": Command(
+        "attack-hadamard", "Hadamard measure-and-classify attack",
+        {"n": 8, "K": 16, "draws": 200, "trials": 10_000},
+        None, _attack,  # hadamard_attack_report checks its 2^(n+1)-dim game encoding
+    ),
+    "relax": Command(
+        "relaxation", "spectral relaxations of the advantage",
+        {"N": 8, "M": 16, "K": 8, "rank": int, "B": float, "samples": 10_000},
+        lambda p: (p["M"], p["M"]), _relax,
+    ),
+    "width": Command(
+        "width", "width statistics of random families",
+        {"N": 32, "M": 128, "K": 64, "samples": 200},
+        lambda p: (p["M"], p["N"]), _width,
+    ),
+    "bench": Command(
+        "bench", "concentration-inequality validators",
+        {"name": ("all", *BENCHES), "samples": 500},
+        None, _bench,  # the benches' sizes are fixed in phaselab.bench
+    ),
+    "conjecture": Command(
+        "conjecture", "subset-norm conjecture explorer",
+        {"N": 4, "P": 2, "L": 8, "K": 4, "mode": ("brute", "greedy"), "restarts": 32},
+        lambda p: (p["N"] * p["P"],) * 2, _conjecture,
+    ),
+    "compress": Command(
+        "compression-verify", "verify one-query space reduction",
+        {"D": 4, "L": 8, "S": 4, "trials": 50},
+        lambda p: (p["L"] * p["S"],) * 2, _compress,
+    ),
+}
+
+
+def _argument(spec) -> dict:
+    """argparse keywords for a flag stated by its default (see Command)."""
+    if isinstance(spec, bool):
+        return {"action": "store_true", "default": spec}
+    if isinstance(spec, type):
+        return {"type": spec, "default": None}
+    if isinstance(spec, tuple):
+        return {"choices": list(spec), "default": spec[0]}
+    return {"type": type(spec), "default": spec}
+
+
+def run(config: ExperimentConfig) -> dict:
+    """Run a config through its COMMANDS entry and return the result record.
+
+    Params the config leaves out take the entry's defaults, and a missing rank
+    is max(1, M // 2); the record echoes the params the run used.
+    """
+    cmd = next((c for c in COMMANDS.values() if c.kind == config.kind), None)
+    if cmd is None:
+        raise ValueError(f"unknown experiment kind {config.kind!r}")
+    defaults = {name: _argument(spec)["default"] for name, spec in cmd.flags.items()}
+    p = {k: v for k, v in defaults.items() if v is not None} | config.params
+    if "rank" in cmd.flags and p.get("rank") is None:
+        p["rank"] = max(1, p["M"] // 2)
+    rng = RngStream(config.seed)
+    start = time.perf_counter()
+    if cmd.budget:
+        check_norm_budget(cmd.budget(p))
     record = {
         "kind": config.kind,
         "config": {"params": p, "seed": config.seed, "instance": config.instance},
-        "values": values,
+        "values": cmd.runner(p, rng, config.instance),
         "wall_time_s": time.perf_counter() - start,
         "version": __version__,
         "rng_fingerprint": rng.fingerprint(),
@@ -260,105 +327,29 @@ def run(config: ExperimentConfig) -> dict:
     return record
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", type=str, default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="phaselab",
         description="Phase-state distinguishing game laboratory",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("game", help="play/maximize the distinguishing game")
-    _add_common(sp)
-    sp.add_argument("--N", type=int, default=8)
-    sp.add_argument("--M", type=int, default=10)
-    sp.add_argument("--K", type=int, default=4)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--restarts", type=int, default=20)
-    sp.add_argument("--localsearch", action="store_true")
-    sp.add_argument("--instance", type=str, default=None)
-
-    sp = sub.add_parser("attack", help="Hadamard measure-and-classify attack")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--K", type=int, default=16)
-    sp.add_argument("--draws", type=int, default=200)
-    sp.add_argument("--trials", type=int, default=10_000)
-
-    sp = sub.add_parser("relax", help="spectral relaxations of the advantage")
-    _add_common(sp)
-    sp.add_argument("--N", type=int, default=8)
-    sp.add_argument("--M", type=int, default=16)
-    sp.add_argument("--K", type=int, default=8)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--B", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=10_000)
-
-    sp = sub.add_parser("width", help="width statistics of random families")
-    _add_common(sp)
-    sp.add_argument("--N", type=int, default=32)
-    sp.add_argument("--M", type=int, default=128)
-    sp.add_argument("--K", type=int, default=64)
-    sp.add_argument("--samples", type=int, default=200)
-
-    sp = sub.add_parser("bench", help="concentration-inequality validators")
-    _add_common(sp)
-    sp.add_argument(
-        "--name",
-        choices=["all", *BENCHES],
-        default="all",
-    )
-    sp.add_argument("--samples", type=int, default=500)
-
-    sp = sub.add_parser("conjecture", help="subset-norm conjecture explorer")
-    _add_common(sp)
-    sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--P", type=int, default=2)
-    sp.add_argument("--L", type=int, default=8)
-    sp.add_argument("--K", type=int, default=4)
-    sp.add_argument("--mode", choices=["brute", "greedy"], default="brute")
-    sp.add_argument("--restarts", type=int, default=32)
-
-    sp = sub.add_parser("compress", help="verify one-query space reduction")
-    _add_common(sp)
-    sp.add_argument("--D", type=int, default=4)
-    sp.add_argument("--L", type=int, default=8)
-    sp.add_argument("--S", type=int, default=4)
-    sp.add_argument("--trials", type=int, default=50)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for flag, spec in {"seed": 0, "out": str, **cmd.flags}.items():
+            sp.add_argument(f"--{flag}", **_argument(spec))
     return ap
 
 
-_KIND_BY_COMMAND = {
-    "game": "game",
-    "attack": "attack-hadamard",
-    "relax": "relaxation",
-    "width": "width",
-    "bench": "bench",
-    "conjecture": "conjecture",
-    "compress": "compression-verify",
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "seed", "out", "instance") and v is not None
-    }
-    if args.command in ("game", "relax") and params.get("rank") is None:
-        params["rank"] = max(1, params["M"] // 2)
+    args = vars(_build_parser().parse_args(argv))
+    command, seed, out = args.pop("command"), args.pop("seed"), args.pop("out")
+    instance = args.pop("instance", None)
     config = ExperimentConfig(
-        kind=_KIND_BY_COMMAND[args.command],
-        params=params,
-        seed=args.seed,
-        out=args.out,
-        instance=getattr(args, "instance", None),
+        kind=COMMANDS[command].kind,
+        params={k: v for k, v in args.items() if v is not None},
+        seed=seed,
+        out=out,
+        instance=instance,
     )
     try:
         record = run(config)

@@ -54,9 +54,11 @@ def truncate_values(values: np.ndarray, B: float) -> np.ndarray:
     """Clip complex values to magnitude B, preserving phase."""
     if B <= 0:
         raise ValueError("truncation bound B must be positive")
+    if not np.isfinite(B):
+        raise ValueError(f"truncation bound B must be finite, got {B}")
     v = np.asarray(values, dtype=np.complex128)
     mag = np.abs(v)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):  # B / mag may overflow where mag <= B, which keeps v
         clipped = np.where(mag > B, v * (B / np.where(mag > 0, mag, 1.0)), v)
     return clipped
 

@@ -293,6 +293,8 @@ def max_abs_quadratic(K: np.ndarray):
     each its kernel's own bit for bit: kernels whose searches fit in one block
     share a batched GEMM, larger ones are searched one by one.
     """
+    if not np.isfinite(K).all():
+        raise ValueError("kernel entries must be finite")
     m = K.shape[-1]
     ka = (m + 1) // 2
     Fa = sign_rows(ka)[: 1 << (ka - 1)]  # the first half has f_1 = +1

@@ -133,6 +133,10 @@ class TestAttackReport:
             hadamard_attack_report(12, 4, draws=2, trials=1, rng=RngStream(8))
         assert calls == []
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            hadamard_attack_report(2, 2, draws=3, trials=-1, rng=RngStream(9))
+
     def test_budget_applies_only_with_trials(self, monkeypatch):
         monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
         with pytest.raises(CapacityError):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,19 @@ from phaselab.numerics import RngStream, random_isometry, random_projector
 
 def _reject_constant(name):
     raise ValueError(f"record holds {name}")
+
+
+def _main_io(argv):
+    """(exit code, record or None) of one CLI run, checking the exit contract on the way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == ""
+        return code, None
+    assert err.getvalue() == ""
+    return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def _adversary(seed=1):
@@ -168,6 +182,23 @@ class TestRun:
         with pytest.raises(ValueError):
             run(ExperimentConfig(kind="nope"))
 
+    @pytest.mark.parametrize("M, rank", [(9, 4), (1, 1)])
+    def test_missing_rank_is_half_of_M(self, M, rank):
+        cfg = ExperimentConfig(kind="relaxation", params={"N": 1, "M": M, "K": 2})
+        assert run(cfg)["config"]["params"]["rank"] == rank
+
+    @pytest.mark.parametrize("command", ["relax", "compress", "conjecture"])
+    def test_missing_params_take_the_table_defaults(self, command, capsys):
+        assert main([command, "--seed", "4"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        record = run(ExperimentConfig(kind=cli.COMMANDS[command].kind, seed=4))
+        assert record["config"] == printed["config"]
+        assert record["values"] == printed["values"]
+
+    def test_every_command_has_its_own_kind(self):
+        kinds = [c.kind for c in cli.COMMANDS.values()]
+        assert len(set(kinds)) == len(kinds)
+
 
 class TestMain:
     def test_game_exit_zero(self, capsys):
@@ -284,6 +315,79 @@ class TestMain:
             exact = M <= BRUTEFORCE_CUTOFF and not localsearch
             assert (record["values"]["bound"] == "exact") == exact
 
+    @given(
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=-3, max_value=200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_attack_argument_vectors(self, n, K, draws, trials):
+        argv = ["attack", "--n", str(n), "--K", str(K), "--draws", str(draws)]
+        code, record = _main_io([*argv, "--trials", str(trials), "--seed", "1"])
+        if trials < 0:
+            assert code == 2
+        if code == 0 and trials == 0:
+            assert record["values"]["monte_carlo_advantage"] == 0.0
+
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=-1, max_value=4),
+        st.none() | st.integers(min_value=-1, max_value=13),
+        st.none()
+        | st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308"])
+        | st.floats(min_value=1e-3, max_value=10.0).map(repr),
+        st.integers(min_value=-1, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relax_argument_vectors(self, N, M, K, rank, B, samples):
+        argv = ["relax", "--N", str(N), "--M", str(M), "--K", str(K), "--samples", str(samples)]
+        argv += ["--seed", "1"] + ([] if rank is None else ["--rank", str(rank)])
+        code, record = _main_io(argv + ([] if B is None else [f"--B={B}"]))
+        if B is not None and not 0.0 < float(B) < math.inf:
+            assert code == 2
+        if code == 0:
+            assert ("truncated_spectral" in record["values"]) == (B is not None)
+
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=16) | st.just(4097),
+        st.integers(min_value=-1, max_value=6),
+        st.integers(min_value=-1, max_value=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_width_argument_vectors(self, N, M, K, samples):
+        argv = ["width", "--N", str(N), "--M", str(M), "--K", str(K), "--samples", str(samples)]
+        code, _ = _main_io([*argv, "--seed", "1"])
+        if M > 4096:
+            assert code == 3
+
+    @given(
+        st.sampled_from(["all", *BENCHES]),
+        st.integers(min_value=-1, max_value=2) | st.integers(min_value=99, max_value=160),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_bench_argument_vectors(self, name, samples):
+        code, record = _main_io(["bench", "--name", name, "--samples", str(samples), "--seed", "1"])
+        if code == 0:
+            assert record["values"]["reports"]
+
+    @given(
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=-1, max_value=4) | st.just(65),
+        st.integers(min_value=-1, max_value=4) | st.just(64),
+        st.integers(min_value=-1, max_value=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_compress_argument_vectors(self, D, L, S, trials):
+        argv = ["compress", "--D", str(D), "--L", str(L), "--S", str(S), "--trials", str(trials)]
+        code, record = _main_io([*argv, "--seed", "1"])
+        if L * S > 4096:
+            assert code == 3
+        if code == 0:
+            assert record["values"]["passed"] is True
+
     def test_negative_family_size_is_invalid_input(self, capsys):
         code = main(["game", "--K", "-1"])
         captured = capsys.readouterr()
@@ -300,6 +404,40 @@ class TestMain:
         assert "4096" in captured.err
         assert captured.out == ""
         assert drawn == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conjecture", "--N", "2049", "--P", "2"],
+            ["compress", "--L", "65", "--S", "64"],
+            ["width", "--M", "4097"],
+        ],
+    )
+    def test_oversize_run_refused_before_drawing(self, argv, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(cli, "random_projector", lambda *a, **k: drawn.append(a))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "4096" in captured.err
+        assert captured.out == ""
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "nan"], "B must be finite"),
+            (["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "inf"], "B must be finite"),
+            (["attack", "--n", "2", "--K", "2", "--draws", "3", "--trials", "-1"], "trials must be >= 0"),
+        ],
+    )
+    def test_non_finite_bound_and_negative_trials_are_invalid_input(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid input:") and message in captured.err
+        assert captured.out == ""
 
     def test_greedy_conjecture_without_restarts_is_invalid_input(self, capsys):
         argv = ["conjecture", "--N", "4", "--L", "4", "--K", "2", "--mode", "greedy"]
@@ -378,3 +516,14 @@ class TestBenchRegistry:
         sub = next(a for a in _build_parser()._actions if a.dest == "command")
         name = next(a for a in sub.choices["bench"]._actions if a.dest == "name")
         assert name.choices == ["all", *BENCHES]
+
+
+def test_readme_cli_block_parses_and_shows_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.strip()]
+    assert all(words[0] == "phaselab" for words in lines)
+    for words in lines:
+        _build_parser().parse_args(words[1:])
+    assert {words[1] for words in lines} == set(cli.COMMANDS)

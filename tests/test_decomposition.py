@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,17 @@ class TestTruncation:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             truncate_values(np.ones(3), 0.0)
+
+    @pytest.mark.parametrize("B", [np.nan, np.inf])
+    def test_rejects_non_finite_bound(self, B):
+        with pytest.raises(ValueError, match="B must be finite"):
+            truncate_values(np.ones(3), B)
+
+    def test_huge_bound_is_identity_without_warnings(self):
+        v = np.array([1e-3 + 0j, 2.0j, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(truncate_values(v, 1e308), v)
 
     def test_truncated_diagonal_is_bounded(self):
         V = random_isometry(8, 12, RngStream(11))

@@ -505,6 +505,17 @@ class TestPrunedSearch:
         with pytest.raises(ValueError):
             sign_rows(9)[0, 0] = 1.0
 
+    @pytest.mark.parametrize("m", [4, 18])  # one batched block; the pruned scan
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, m, complex_, bad):
+        K = _random_kernels((3,), m, 40 + m, complex_)
+        K[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            max_abs_quadratic(K)
+        with pytest.raises(ValueError, match="finite"):
+            max_abs_quadratic(K[1])
+
 
 class TestStackedSearch:
     """Stacked kernels, families and searches equal a loop of single calls bit for bit."""
