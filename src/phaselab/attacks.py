@@ -120,7 +120,8 @@ def hadamard_attack_report(
 
     Reports the mean exact (TV) advantage over `draws` families of shape
     K x 2^n, a Monte Carlo game cross-check on the first family, and the
-    sample mean/variance of the X statistic across the draws.
+    sample mean/variance of the X statistic across the draws.  Draw d reads rng.child(d),
+    the one exception to the RngStream rule (the benchmark's attack check is tuned to it).
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")

@@ -147,8 +147,8 @@ def truncated_conjugation_sampler(V, Pi, B: float):
     diagonal are bounded by B, so each sample is Hermitian with norm at most
     2 B^2; returns (sampler, uniform bound 2B^2).
 
-    sampler(g) gives one D x D sample; sampler(g, count) gives a (count, D, D) stack
-    equal to `count` successive sampler(g) calls: each draw reads one 64-bit word.
+    sampler(g, count) gives a (count, D, D) stack of samples, each drawn from one
+    64-bit word of g, so a stack equals the concatenated stacks of successive calls.
     """
     adv = AdversarySpec(V, Pi)
     if adv.N > 12:
@@ -157,13 +157,13 @@ def truncated_conjugation_sampler(V, Pi, B: float):
     mean = np.einsum("ki,ij,kj->ij", DallB.conj(), adv.Pi, DallB) / len(DallB)
     place = 1 << np.arange(adv.N - 1, -1, -1)  # sign h is row sum_j [h_j < 0] 2^(N-1-j)
 
-    def sampler(g: np.random.Generator, count: int | None = None) -> np.ndarray:
-        signs = random_sign_array(g, (1 if count is None else count, 64))[:, : adv.N]
+    def sampler(g: np.random.Generator, count: int) -> np.ndarray:
+        signs = random_sign_array(g, (count, 64))[:, : adv.N]
         DB = DallB[(signs < 0) @ place]
         Z = np.conj(DB)[:, :, None] * adv.Pi
         Z *= DB[:, None, :]
         Z -= mean
-        return Z[0] if count is None else Z
+        return Z
 
     return sampler, 2.0 * B * B
 
@@ -174,25 +174,21 @@ def matrix_hoeffding_bench(
     """Sums of K iid mean-zero Hermitian matrices with ||Z_k|| <= norm_bound.
 
     With C_k = norm_bound * Id, the variance proxy is sigma^2 = K norm_bound^2
-    and Pr[||sum Z_k|| >= t] <= 2 D exp(-t^2 / (8 sigma^2)).  A block of samples
-    takes its size * K draws in one call sampler(g, size * K), a (size * K, D, D) stack.
+    and Pr[||sum Z_k|| >= t] <= 2 D exp(-t^2 / (8 sigma^2)).  Block b takes its size * K
+    draws as one sampler stack from rng.child(b), each matrix checked Hermitian.
     """
-    g0 = rng.child(0).generator()
-    probe = sampler(g0)
-    if float(np.max(np.abs(probe - probe.conj().T))) > 1e-8:
-        raise ValueError("sampler must produce Hermitian matrices")
-    D = probe.shape[0]
     sigma2 = K * norm_bound**2
     thresholds = [t * np.sqrt(sigma2) for t in HOEFFDING_THRESHOLDS]
 
     def run_block(b, size):
-        Z = sampler(rng.child(b + 1).generator(), size * K).reshape(size, K, D, D)
-        acc = np.zeros((size, D, D), dtype=np.complex128)
-        for k in range(K):
-            acc += Z[:, k]
-        return operator_norm(acc)
+        Z = sampler(rng.child(b).generator(), size * K)
+        if float(np.max(np.abs(Z - np.swapaxes(Z.conj(), -1, -2)))) > 1e-8:
+            raise ValueError("sampler must produce Hermitian matrices")
+        D = Z.shape[-1]
+        return operator_norm(Z.reshape(size, K, D, D).sum(axis=1)), D
 
-    norms = np.concatenate(parallel_blocks(run_block, samples))
+    blocks, dims = zip(*parallel_blocks(run_block, samples))
+    norms, D = np.concatenate(blocks), dims[0]
     bounds = [
         min(1.0, 2.0 * D * np.exp(-(t**2) / (8.0 * sigma2))) for t in thresholds
     ]

@@ -53,6 +53,8 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
+_SIZE_PARAMS = ("N", "M", "K", "n", "D", "L", "S", "P")  # each must be >= 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -103,10 +105,17 @@ def _complex_field(doc: dict, name: str, shape: tuple) -> np.ndarray:
     return (re + 1j * im).reshape(shape)
 
 
+def _read_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def load_instance(path: str):
     """Load an adversary or family; validates invariants with measured residuals."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    return _instance(_read_json(path))
+
+
+def _instance(doc: dict):
     kind = _field(doc, "kind")
     if kind == "adversary":
         N, M = int(_field(doc, "N")), int(_field(doc, "M"))
@@ -142,12 +151,9 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _game(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _game(p: dict, rng: RngStream, instance: dict | None) -> dict:
     if instance:
-        adv = load_instance(instance)
-        if not isinstance(adv, AdversarySpec):
-            raise ValueError("game --instance must be an adversary file")
-        check_norm_budget((adv.M, adv.M))
+        adv = _instance(instance)
     else:
         adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
     R = random_family(p["K"], adv.N, rng.child(1))
@@ -161,7 +167,7 @@ def _game(p: dict, rng: RngStream, instance: str | None) -> dict:
     return {"max_advantage": best, "method": method, "bound": bound, "win_rate": win}
 
 
-def _attack(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _attack(p: dict, rng: RngStream, instance: dict | None) -> dict:
     rep = hadamard_attack_report(p["n"], p["K"], p["draws"], p["trials"], rng)
     return {
         "exact_advantage_mean": rep.exact_advantage,
@@ -171,7 +177,7 @@ def _attack(p: dict, rng: RngStream, instance: str | None) -> dict:
     }
 
 
-def _relax(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _relax(p: dict, rng: RngStream, instance: dict | None) -> dict:
     adv = _random_adversary(p["N"], p["M"], p["rank"], rng.child(0))
     R = random_family(p["K"], adv.N, rng.child(1))
     Rp = random_family(p["K"], adv.N, rng.child(2))
@@ -188,12 +194,12 @@ def _relax(p: dict, rng: RngStream, instance: str | None) -> dict:
     return values
 
 
-def _width(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _width(p: dict, rng: RngStream, instance: dict | None) -> dict:
     V = random_isometry(p["N"], p["M"], rng.child(0))
     return _report_dict(width_tail_bench(V, p["K"], p["samples"], rng.child(1)))
 
 
-def _bench(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _bench(p: dict, rng: RngStream, instance: dict | None) -> dict:
     if p["name"] not in ("all", *BENCHES):
         raise ValueError(f"unknown bench name {p['name']!r}")
     names = BENCHES if p["name"] == "all" else [p["name"]]  # "all" runs default_suite
@@ -204,7 +210,7 @@ def _bench(p: dict, rng: RngStream, instance: str | None) -> dict:
     }
 
 
-def _conjecture(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _conjecture(p: dict, rng: RngStream, instance: dict | None) -> dict:
     N, L, K = p["N"], p["L"], p["K"]
     dim = N * p["P"]
     if L < 1 or dim % L != 0:
@@ -220,7 +226,7 @@ def _conjecture(p: dict, rng: RngStream, instance: str | None) -> dict:
     return {"value": val, "witness": list(witness)}
 
 
-def _compress(p: dict, rng: RngStream, instance: str | None) -> dict:
+def _compress(p: dict, rng: RngStream, instance: dict | None) -> dict:
     L, S = p["L"], p["S"]
     adv = _random_adversary(p["D"], L * S, (L * S) // 2, rng)
     dev = verify_one_query_simulation(adv, L, p["trials"], rng.child(2))
@@ -235,14 +241,14 @@ class Command:
     False makes a switch, a tuple lists the choices (default first), and a bare
     type makes an optional flag.  ``budget`` maps the params to the shape of the
     largest dense matrix the run builds, refused over the operator-norm budget
-    before any draw; ``runner`` maps (params, root stream, instance path) to values.
+    before any draw; ``runner`` maps (params, root stream, instance document) to values.
     """
 
     kind: str
     help: str
     flags: dict
     budget: Callable[[dict], tuple] | None
-    runner: Callable[[dict, RngStream, str | None], dict]
+    runner: Callable[[dict, RngStream, dict | None], dict]
 
 
 COMMANDS = {
@@ -250,7 +256,7 @@ COMMANDS = {
         "game", "play/maximize the distinguishing game",
         {"N": 8, "M": 10, "K": 4, "rank": int, "trials": 10_000, "restarts": 20,
          "localsearch": False, "instance": str},
-        lambda p: (p["M"], p["M"]), _game,  # an --instance is also checked on its own M
+        lambda p: (p["M"], p["M"]), _game,
     ),
     "attack": Command(
         "attack-hadamard", "Hadamard measure-and-classify attack",
@@ -300,23 +306,38 @@ def run(config: ExperimentConfig) -> dict:
     """Run a config through its COMMANDS entry and return the result record.
 
     Params the config leaves out take the entry's defaults, and a missing rank
-    is max(1, M // 2); the record echoes the params the run used.
+    is max(1, M // 2).  An instance file sets N and M to the sizes it declares,
+    and rank goes unused.  Before anything is drawn or the file's matrices are
+    validated, a run over the budget is refused, then a size param below 1.  The
+    record echoes the params the run used.
     """
     cmd = next((c for c in COMMANDS.values() if c.kind == config.kind), None)
     if cmd is None:
         raise ValueError(f"unknown experiment kind {config.kind!r}")
     defaults = {name: _argument(spec)["default"] for name, spec in cmd.flags.items()}
     p = {k: v for k, v in defaults.items() if v is not None} | config.params
-    if "rank" in cmd.flags and p.get("rank") is None:
-        p["rank"] = max(1, p["M"] // 2)
     rng = RngStream(config.seed)
     start = time.perf_counter()
+    instance = None
+    if config.instance:
+        if "instance" not in cmd.flags:
+            raise ValueError(f"{config.kind} takes no instance")
+        instance = _read_json(config.instance)
+        if _field(instance, "kind") != "adversary":
+            raise ValueError("--instance must be an adversary file")
+        sizes = {name: int(_field(instance, name)) for name in ("N", "M")}
+        p = {k: v for k, v in p.items() if k != "rank"} | sizes
+    elif "rank" in cmd.flags and p.get("rank") is None:
+        p["rank"] = max(1, p["M"] // 2)
     if cmd.budget:
         check_norm_budget(cmd.budget(p))
+    small = [name for name in _SIZE_PARAMS if name in p and p[name] < 1]
+    if small:
+        raise ValueError(f"--{small[0]} must be >= 1")
     record = {
         "kind": config.kind,
         "config": {"params": p, "seed": config.seed, "instance": config.instance},
-        "values": cmd.runner(p, rng, config.instance),
+        "values": cmd.runner(p, rng, instance),
         "wall_time_s": time.perf_counter() - start,
         "version": __version__,
         "rng_fingerprint": rng.fingerprint(),
@@ -364,7 +385,3 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     print(json.dumps(record, indent=2))
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

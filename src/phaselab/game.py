@@ -375,25 +375,22 @@ def max_advantage_bruteforce(adv: AdversarySpec, R):
     return max_abs_quadratic(np.real(advantage_kernel(adv, R)))
 
 
-def max_advantage_localsearch(
-    adv: AdversarySpec, R, restarts: int = 20, rng: RngStream | None = None
-):
+def max_advantage_localsearch(adv: AdversarySpec, R, restarts: int = 20, *, rng: RngStream):
     """Heuristic lower bound on the maximum advantage via sign-flip hill climbing.
 
-    Restart r starts from random signs drawn from rng.child(r) and repeatedly
-    takes the best single-coordinate flip that increases |f^T B f|, using O(M)
-    updates of the gradient g = B f.  The restarts climb in lockstep, one array
-    step for those still climbing; the first with the largest value wins.  The
-    result is locally maximal, hence always <= the true maximum.
+    Restart r starts from row r of one restarts x M sign draw from rng.generator()
+    and repeatedly takes the best single-coordinate flip that increases |f^T B f|,
+    using O(M) updates of the gradient g = B f.  The restarts climb in lockstep,
+    one array step for those still climbing; the first with the largest value
+    wins.  The result is locally maximal, hence always <= the true maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    rng = RngStream(0) if rng is None else rng
     B = advantage_kernel(adv, R)
     m = B.shape[0]
     diag = np.real(np.diagonal(B))
     cols = np.ascontiguousarray(B.T)  # cols[i] = B[:, i]
-    F = np.array([random_sign_array(rng.child(r).generator(), m) for r in range(restarts)])
+    F = random_sign_array(rng.generator(), (restarts, m))
     G = np.array([B @ f for f in F])
     q = np.array([np.real(f @ g) for f, g in zip(F, G)])
     live = np.arange(restarts)

@@ -66,10 +66,11 @@ class CapacityError(ValueError):
 class RngStream:
     """A named, splittable random stream.
 
-    (seed, path) identifies the stream completely: the same pair reproduces
-    the same draws on any machine and under any thread schedule.  ``child(i)``
-    derives an independent sub-stream deterministically, so parallel trial
-    loops hand stream i to trial i no matter which worker runs it.
+    (seed, path) identifies the stream completely, on any machine and under any
+    thread schedule.  A routine given a stream rng draws once from rng.generator(),
+    or loops through `parallel_blocks`, block b drawing from rng.child(b); one that
+    calls other drawing routines hands each a fixed child.  The one exception is
+    `attacks.hadamard_attack_report`, whose draw d reads rng.child(d).
     """
 
     seed: int
@@ -117,8 +118,9 @@ def thread_count() -> int:
 def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> list:
     """Run fn(b, size) over blocks of `block` items covering `total`, the last shorter.
 
-    Blocks run in parallel if configured.  Results come back in block order,
-    so any reduction over them is deterministic regardless of the worker count.
+    Blocks run in parallel if configured; a block that draws takes rng.child(b)
+    of its routine's stream rng (see RngStream).  Results come back in block
+    order, so any reduction over them is deterministic regardless of the worker count.
     """
     n_blocks = max(0, -(-total // block))
 

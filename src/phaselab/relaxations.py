@@ -78,13 +78,15 @@ def truncated_spectral_relaxation(
     R,
     B: float,
     samples: int = 10_000,
-    rng: RngStream | None = None,
+    *,
+    rng: RngStream,
 ) -> tuple[float, float]:
     """Spectral relaxation with rescaling diagonals clipped at magnitude B.
 
     The matrix is the plain relaxation's plus Pi o H(G_R)/K minus Pi o H(G_h)/n:
     H is the Hermitian part, G the clip gain (trunc(D) - D)^H (trunc(D) + D), and
-    G_h sums it over `samples` random sign functions in TRUNCATED_BATCHES batches,
+    G_h sums it over n = `samples` random sign functions, a multiple of
+    TRUNCATED_BATCHES, batch b drawing n / TRUNCATED_BATCHES from rng.child(b):
     a Monte Carlo estimate for the all-h term.  With no entry clipped both gains
     are 0 and the value is exactly `spectral_relaxation`.  Returns (value, error).
     The error is ||Pi o (mean over the first half of the batches - mean over
@@ -92,26 +94,23 @@ def truncated_spectral_relaxation(
     matrix; by Weyl's inequality that norm bounds |value - exact|, where exact
     is the norm with the all-h term averaged over all 2^N sign functions.
     """
-    if samples < TRUNCATED_BATCHES:
-        raise ValueError(f"need at least {TRUNCATED_BATCHES} samples, one per batch; got {samples}")
-    rng = RngStream(0) if rng is None else rng
+    if samples < 1 or samples % TRUNCATED_BATCHES:
+        raise ValueError(f"samples must be a positive multiple of {TRUNCATED_BATCHES}: {samples}")
     plain = _weight_basis(adv, advantage_kernel(adv, R))
     D, _ = rescaling_diagonals(adv, R)
     family_gain = _clip_gain(D, B) / len(D)
-
-    per_batch = samples // TRUNCATED_BATCHES
-    n = per_batch * TRUNCATED_BATCHES
 
     def run_batch(b, size):
         g = rng.child(b).generator()
         Dh, _ = rescaling_diagonals(adv, random_sign_array(g, (size, adv.N)))
         return _clip_gain(Dh, B)
 
-    sums = parallel_blocks(run_batch, n, per_batch)
+    sums = parallel_blocks(run_batch, samples, samples // TRUNCATED_BATCHES)
     half = TRUNCATED_BATCHES // 2
     first, second = sum(sums[:half]), sum(sums[half:])
-    value = operator_norm(plain + adv.Pi * _hermitian_part(family_gain - (first + second) / n))
-    error = operator_norm(adv.Pi * _hermitian_part(first - second) / n)
+    h_gain = (first + second) / samples
+    value = operator_norm(plain + adv.Pi * _hermitian_part(family_gain - h_gain))
+    error = operator_norm(adv.Pi * _hermitian_part(first - second) / samples)
     return value, error
 
 
@@ -292,7 +291,8 @@ def subset_norm_conjecture(
     exact norms only of the sums whose bound reaches the largest of those, less
     1e-12; value and witness are those that a norm of every sum would give.
     'greedy' grows S by single-index additions, accepting the first improving
-    move, with random restart orders.  Returns (value, sorted witness).
+    move, with restart orders drawn in turn from rng.generator() (greedy needs
+    rng; brute draws nothing).  Returns (value, sorted witness).
     """
     L = len(projectors)
     if mode == "brute" and L > SUBSET_CUTOFF:
@@ -301,13 +301,15 @@ def subset_norm_conjecture(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "greedy" and restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if mode == "greedy" and rng is None:
+        raise ValueError("greedy mode draws its restart orders from rng; pass an RngStream")
     terms = _subset_value_terms(projectors, states)
     if mode == "brute":
         return _brute_subset_max(terms)
-    rng = RngStream(0) if rng is None else rng
+    g = rng.generator()
     best_val, best_set = 0.0, ()
-    for r in range(restarts):
-        order = rng.child(r).generator().permutation(L)
+    for _ in range(restarts):
+        order = g.permutation(L)
         chosen, acc, val = [], np.zeros_like(terms[0]), 0.0
         while len(chosen) < L:
             rest = [int(i) for i in order if int(i) not in chosen]

@@ -86,7 +86,7 @@ class TestTruncatedConjugationSampler:
         total = np.zeros((8, 8), dtype=np.complex128)
         for bits in itertools.product((1.0, -1.0), repeat=4):
             g = _FixedSignGenerator(np.array(bits))
-            total += sampler(g)
+            total += sampler(g, 1)[0]
         np.testing.assert_allclose(total / 16, 0.0, atol=1e-10)
 
     def test_draws_match_the_direct_formula(self):
@@ -103,8 +103,8 @@ class TestTruncatedConjugationSampler:
         ones = np.ones(4)
         for bits in itertools.product((1.0, -1.0), repeat=4):
             h = np.array(bits)
-            got = sampler(_FixedSignGenerator(h)) - sampler(_FixedSignGenerator(ones))
-            np.testing.assert_allclose(got, direct(h) - direct(ones), atol=1e-12)
+            got = sampler(_FixedSignGenerator(h), 1) - sampler(_FixedSignGenerator(ones), 1)
+            np.testing.assert_allclose(got[0], direct(h) - direct(ones), atol=1e-12)
 
     def test_norm_bound_respected(self):
         V = random_isometry(4, 8, RngStream(9))
@@ -114,7 +114,7 @@ class TestTruncatedConjugationSampler:
         assert bound == pytest.approx(2 * B * B)
         g = RngStream(11).generator()
         for _ in range(50):
-            assert operator_norm(sampler(g)) <= bound + 1e-9
+            assert operator_norm(sampler(g, 1)[0]) <= bound + 1e-9
 
     @pytest.mark.parametrize("count", [1, 5, 70])
     def test_a_stack_equals_successive_draws(self, count):
@@ -124,8 +124,8 @@ class TestTruncatedConjugationSampler:
         g, h = RngStream(28).generator(), RngStream(28).generator()
         stack = sampler(g, count)
         assert stack.shape == (count, 10, 10)
-        np.testing.assert_array_equal(stack, np.stack([sampler(h) for _ in range(count)]))
-        np.testing.assert_array_equal(sampler(g), sampler(h))  # both streams end in step
+        np.testing.assert_array_equal(stack, np.concatenate([sampler(h, 1) for _ in range(count)]))
+        np.testing.assert_array_equal(sampler(g, 1), sampler(h, 1))  # both streams end in step
 
 
 class _FixedSignGenerator:
@@ -185,12 +185,12 @@ class TestStackedSampleNorms:
         matrix_hoeffding_bench(sampler, bound, K=3, samples=70, rng=RngStream(34))
         assert [len(r) for r in results] == [64, 6]
         for b, got in enumerate(results):
-            g = RngStream(34).child(b + 1).generator()
+            g = RngStream(34).child(b).generator()
             want = []
             for _ in got:
                 acc = np.zeros((8, 8), dtype=np.complex128)
                 for _ in range(3):
-                    acc += sampler(g)
+                    acc += sampler(g, 1)[0]
                 want.append(operator_norm(acc))
             np.testing.assert_array_equal(got, want)
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab import attacks, cli, numerics, relaxations
+import phaselab
+from phaselab import attacks, cli, game, numerics, relaxations
 from phaselab.bench import BENCHES
 from phaselab.cli import ExperimentConfig, _build_parser, load_instance, main, run, save_instance
 from phaselab.game import BRUTEFORCE_CUTOFF, AdversarySpec, random_family
@@ -177,6 +181,22 @@ class TestRun:
         )
         record = run(cfg)
         assert record["values"]["max_advantage"] >= 0.0
+
+    @pytest.mark.parametrize("flags", [[], ["--N", "9", "--M", "5000", "--rank", "7"]])
+    def test_game_instance_record_echoes_the_file_sizes(self, flags, tmp_path):
+        path = tmp_path / "adv.json"
+        save_instance(_adversary(), str(path))  # N = 4, M = 6
+        code, record = _main_io(["game", "--instance", str(path), "--trials", "50", *flags])
+        assert code == 0
+        params = record["config"]["params"]
+        assert (params["N"], params["M"]) == (4, 6)
+        assert "rank" not in params
+
+    def test_instance_is_refused_by_a_command_without_the_flag(self, tmp_path):
+        path = tmp_path / "adv.json"
+        save_instance(_adversary(), str(path))
+        with pytest.raises(ValueError, match="relaxation takes no instance"):
+            run(ExperimentConfig(kind="relaxation", instance=str(path)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -392,7 +412,7 @@ class TestMain:
         code = main(["game", "--K", "-1"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "sign array dimensions must be nonnegative" in captured.err
+        assert "--K must be >= 1" in captured.err
         assert captured.out == ""
 
     def test_oversize_relaxation_refused_before_drawing(self, monkeypatch, capsys):
@@ -430,6 +450,7 @@ class TestMain:
             (["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "nan"], "B must be finite"),
             (["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "inf"], "B must be finite"),
             (["attack", "--n", "2", "--K", "2", "--draws", "3", "--trials", "-1"], "trials must be >= 0"),
+            (["relax", "--B", "1", "--samples", "2005"], "positive multiple of 10"),
         ],
     )
     def test_non_finite_bound_and_negative_trials_are_invalid_input(self, argv, message, capsys):
@@ -475,11 +496,34 @@ class TestMain:
         monkeypatch.setattr(numerics, "NORM_MAX_DIM", 5)
         calls = []
         monkeypatch.setattr(cli, "random_family", lambda *a: calls.append(a))
+        monkeypatch.setattr(game, "check_projector", lambda *a: calls.append(a))
         code = main(["game", "--instance", str(path)])
         captured = capsys.readouterr()
         assert code == 3
         assert "budget 5" in captured.err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, cmd in cli.COMMANDS.items() for f in cli._SIZE_PARAMS if f in cmd.flags],
+    )
+    def test_size_below_one_names_the_flag(self, command, flag, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append(self))
+        code = main([command, f"--{flag}", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"invalid input: --{flag} must be >= 1\n"
+        assert captured.out == ""
+        assert drawn == []
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(phaselab.__file__).resolve().parents[1]))
+        argv = ["game", "--N", "4", "--M", "6", "--K", "2", "--trials", "100"]
+        cmd = [sys.executable, "-m", "phaselab", *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kind"] == "game"
 
     def test_out_file_written(self, tmp_path):
         out = tmp_path / "r.jsonl"

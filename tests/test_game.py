@@ -56,12 +56,13 @@ def _lexfirst_max(B):
 
 
 def _reference_localsearch(B, restarts, rng):
-    """The per-restart hill climb: each restart climbs alone from rng.child(r)'s signs."""
+    """The per-restart hill climb: restart r climbs alone from row r of one draw of signs."""
     m = B.shape[0]
     diag = np.real(np.diagonal(B))
     best_val, best_f = -1.0, np.ones(m)
+    starts = random_sign_array(rng.generator(), (restarts, m))
     for r in range(restarts):
-        f = random_sign_array(rng.child(r).generator(), m)
+        f = starts[r].copy()
         grad = B @ f
         q = float(np.real(f @ grad))
         improved = True

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import phaselab
@@ -60,6 +61,24 @@ def test_every_public_def_is_in_all_and_every_listed_name_exists():
         name = "phaselab" if path.stem == "__init__" else f"phaselab.{path.stem}"
         module = importlib.import_module(name)
         assert [n for n in listed if not hasattr(module, n)] == [], path.name
+
+
+def test_no_public_rng_parameter_has_a_default():
+    """A routine that draws takes its stream from the caller: no hidden seed.
+
+    subset_norm_conjecture is the one exception: its brute mode draws nothing, and
+    greedy mode refuses a missing stream.
+    """
+    defaults = set()
+    for path in sorted(SRC.glob("*.py")):
+        dotted = "phaselab" if path.stem == "__init__" else f"phaselab.{path.stem}"
+        module = importlib.import_module(dotted)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            rng = inspect.signature(obj).parameters.get("rng") if inspect.isfunction(obj) else None
+            if rng is not None and rng.default is not inspect.Parameter.empty:
+                defaults.add(name)
+    assert defaults == {"subset_norm_conjecture"}
 
 
 def test_detects_a_public_def_missing_from_all(tmp_path):

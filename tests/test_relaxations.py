@@ -269,6 +269,13 @@ class TestTruncatedRelaxation:
         truncated_spectral_relaxation(adv, R, B=1.5, samples=500, rng=RngStream(18))
         assert calls == [(16, 16), (16, 16)]
 
+    @pytest.mark.parametrize("samples", [0, -10, 5, 2005])
+    def test_samples_off_the_batches_refused(self, samples):
+        adv = _random_adversary(4, 8, 4, 19)
+        R = random_family(3, 4, RngStream(20))
+        with pytest.raises(ValueError, match="positive multiple of 10"):
+            truncated_spectral_relaxation(adv, R, 1.5, samples, rng=RngStream(21))
+
 
 class TestDecoupled:
     def test_kernel_quadratic_form_matches_fixed_f(self):
@@ -389,9 +396,9 @@ def _reference_brute(terms):
 
 def _reference_greedy(terms, restarts, rng):
     """Greedy growth with one 2-d norm per candidate, the first improving one accepted."""
-    best_val, best_set = 0.0, ()
-    for r in range(restarts):
-        order = rng.child(r).generator().permutation(len(terms))
+    best_val, best_set, g = 0.0, (), rng.generator()
+    for _ in range(restarts):
+        order = g.permutation(len(terms))
         chosen, acc, val, improved = set(), np.zeros_like(terms[0]), 0.0, True
         while improved:
             improved = False
@@ -542,7 +549,7 @@ class TestSubsetNormConjecture:
             numerics, "_route_norms", lambda a, herm: routes.append(herm) or route_norms(a, herm)
         )
         subset_norm_conjecture(projs, states, mode="brute")
-        subset_norm_conjecture(projs, states, mode="greedy", restarts=4)
+        subset_norm_conjecture(projs, states, mode="greedy", restarts=4, rng=RngStream(72))
         assert routes and all(routes)
 
     @pytest.mark.parametrize("restarts", [0, -1])
@@ -550,6 +557,11 @@ class TestSubsetNormConjecture:
         projs = _projector_resolution(8, 4, 53)
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             subset_norm_conjecture(projs, _unit_states(4, 2, 54), mode="greedy", restarts=restarts)
+
+    def test_greedy_without_a_stream_is_refused(self):
+        projs = _projector_resolution(8, 4, 53)
+        with pytest.raises(ValueError, match="pass an RngStream"):
+            subset_norm_conjecture(projs, _unit_states(4, 2, 54), mode="greedy")
 
     def test_greedy_matches_the_per_candidate_loop(self):
         projs = _projector_resolution(12, 6, 50)
