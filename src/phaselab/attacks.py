@@ -10,13 +10,14 @@ attack whose honest query dimension 2^(K*N) is exposed by a calculator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import AdversarySpec, check_family, phase_state, random_family, simulate_game
 from .numerics import CapacityError, RngStream, check_norm_budget, check_unit_vector
-from .numerics import span_basis, tv_distance
+from .numerics import span_basis
 
 __all__ = [
     "HadamardAttackReport",
@@ -45,47 +46,49 @@ class HadamardAttackReport:
     x_statistic_variance: float
 
 
-def _require_power_of_two(N: int) -> int:
-    n = int(N).bit_length() - 1
-    if N < 1 or (1 << n) != N:
-        raise ValueError(f"dimension {N} is not a power of two")
-    return n
-
-
 def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis."""
     a = np.array(a, dtype=np.float64, copy=True)
     N = a.shape[-1]
-    _require_power_of_two(N)
+    if N < 1 or N & (N - 1):
+        raise ValueError(f"dimension {N} is not a power of two")
     h = 1
     while h < N:
         shape = a.shape[:-1] + (N // (2 * h), 2, h)
         b = a.reshape(shape)
         top = b[..., 0, :] + b[..., 1, :]
-        bot = b[..., 0, :] - b[..., 1, :]
+        np.subtract(b[..., 0, :], b[..., 1, :], out=b[..., 1, :])
         b[..., 0, :] = top
-        b[..., 1, :] = bot
+        del top  # one half-size temporary at a time: a stack of families is several MiB
         h *= 2
     return a
+
+
+def _check_families(R) -> np.ndarray:
+    """Validate and return a K x N family or a stack of them, shape (..., K, N), row by row."""
+    a = np.asarray(R)
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) if a.ndim > 2 else a
+    return check_family(rows).reshape(a.shape)
 
 
 def hadamard_outcome_distribution(R) -> np.ndarray:
     """Distribution of the standard-basis outcome after transforming a family state.
 
-    M_R(y) = E_k |<y| H |psi_{R_k}>|^2, computed via the Walsh spectrum.
+    M_R(y) = E_k |<y| H |psi_{R_k}>|^2, computed via the Walsh spectrum.  A stack
+    of families (..., K, N) gives (..., N), each its family's own distribution.
     """
-    Rv = check_family(R)
-    N = Rv.shape[1]
-    _require_power_of_two(N)
-    spec = fwht(Rv) / N  # row k = amplitudes of H |psi_{R_k}>, scaled
-    return np.mean(spec**2, axis=0)
+    Rv = _check_families(R)
+    spec = fwht(Rv)  # a copy, scaled and squared in place: row k becomes |H |psi_{R_k}>|^2
+    spec /= Rv.shape[-1]
+    spec **= 2
+    return np.mean(spec, axis=-2)
 
 
-def hadamard_attack_exact_advantage(R) -> float:
-    """TV distance between the family outcome distribution and uniform."""
+def hadamard_attack_exact_advantage(R):
+    """TV distance between the family outcome distribution and uniform; a stack gives (...)."""
     m = hadamard_outcome_distribution(R)
-    uniform = np.full(m.size, 1.0 / m.size)
-    return tv_distance(m, uniform)
+    tv = 0.5 * np.abs(m - 1.0 / m.shape[-1]).sum(axis=-1)
+    return float(tv) if m.ndim == 1 else tv
 
 
 def hadamard_game_encoding(R) -> tuple[AdversarySpec, np.ndarray]:
@@ -99,14 +102,12 @@ def hadamard_game_encoding(R) -> tuple[AdversarySpec, np.ndarray]:
     classify-and-output-0 behavior; the optimal classifier keeps y with
     outcome probability at least uniform.
     """
-    Rv = check_family(R)
-    N = Rv.shape[1]
-    _require_power_of_two(N)
+    m = hadamard_outcome_distribution(check_family(R))
+    N = m.size
     H = fwht(np.eye(N)) / np.sqrt(N)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     V = np.kron(H, minus[:, None]).astype(np.complex128)  # index (y, a) -> 2y + a
     Pi = np.kron(np.eye(N), np.outer(minus, minus)).astype(np.complex128)
-    m = hadamard_outcome_distribution(Rv)
     keep = m >= 1.0 / N  # classifier: output 0 (family side) on these y
     f = np.ones(2 * N)
     f[1::2] = np.where(keep, 1.0, -1.0)
@@ -120,27 +121,22 @@ def hadamard_attack_report(
 
     Reports the mean exact (TV) advantage over `draws` families of shape
     K x 2^n, a Monte Carlo game cross-check on the first family, and the
-    sample mean/variance of the X statistic across the draws.  Draw d reads rng.child(d),
-    the one exception to the RngStream rule (the benchmark's attack check is tuned to it).
+    sample mean/variance of the X statistic across the draws.  The families
+    are one draw from rng.child(0), the game's trials read rng.child(1).
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    N = 1 << n
     if trials > 0:
-        check_norm_budget((2 * N, 2 * N))  # the game encoding is a dense 2N x 2N projector
-    exacts = np.empty(draws)
-    xs = np.empty(draws)
+        check_norm_budget((2 << n, 2 << n))  # the game encoding is a dense 2N x 2N projector
+    R = random_family(draws * K, 1 << n, rng.child(0)).reshape(draws, K, 1 << n)
+    # Rebinding R frees the stack, so it is not alive while the game runs.
+    exacts, xs, R = hadamard_attack_exact_advantage(R), x_statistic(R), R[0].copy()
     mc = 0.0
-    for d in range(draws):
-        R = random_family(K, N, rng.child(d))
-        exacts[d] = hadamard_attack_exact_advantage(R)
-        xs[d] = x_statistic(R)
-        if d == 0 and trials > 0:
-            adv, f = hadamard_game_encoding(R)
-            win = simulate_game(adv, R, f, trials, rng.child(draws))
-            mc = 2.0 * win - 1.0
+    if trials > 0:
+        adv, f = hadamard_game_encoding(R)
+        mc = 2.0 * simulate_game(adv, R, f, trials, rng.child(1)) - 1.0
     return HadamardAttackReport(
         exact_advantage=float(exacts.mean()),
         monte_carlo_advantage=mc,
@@ -150,11 +146,11 @@ def hadamard_attack_report(
     )
 
 
-def x_statistic(R) -> float:
-    """X_R = (1/N) E_k (sum_x R_k(x))^2 -- the squared-row-sum statistic."""
-    Rv = check_family(R)
-    sums = Rv.sum(axis=1)
-    return float(np.mean(sums**2) / Rv.shape[1])
+def x_statistic(R):
+    """X_R = (1/N) E_k (sum_x R_k(x))^2 -- the squared-row-sum statistic; a stack gives (...)."""
+    Rv = _check_families(R)
+    x = np.mean(Rv.sum(axis=-1) ** 2, axis=-1) / Rv.shape[-1]
+    return float(x) if Rv.ndim == 2 else x
 
 
 def _family_span(R) -> np.ndarray:

@@ -177,6 +177,8 @@ def matrix_hoeffding_bench(
     and Pr[||sum Z_k|| >= t] <= 2 D exp(-t^2 / (8 sigma^2)).  Block b takes its size * K
     draws as one sampler stack from rng.child(b), each matrix checked Hermitian.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     sigma2 = K * norm_bound**2
     thresholds = [t * np.sqrt(sigma2) for t in HOEFFDING_THRESHOLDS]
 
@@ -204,6 +206,8 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
     Tail reference: Pr[|S| >= t] <= 2 exp(-t^2 / 2); also validates the
     second-moment identity E|S|^2 = sum |a_i|^2 = 1 within sampling error.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     a = np.asarray(weights, dtype=np.complex128).ravel()
     total = float(np.sum(np.abs(a) ** 2))
     if abs(total - 1.0) > 1e-9:
@@ -226,6 +230,8 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
 
 def _over_families(values, K: int, N: int, samples: int, rng: RngStream) -> np.ndarray:
     """values(stack) over `samples` fresh K x N families, one generator and one stack per block."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
 
     def run_block(b, size):
         return values(random_family(size * K, N, rng.child(b)).reshape(size, K, N))

@@ -53,7 +53,7 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
-_SIZE_PARAMS = ("N", "M", "K", "n", "D", "L", "S", "P")  # each must be >= 1
+_SIZE_PARAMS = ("N", "M", "K", "n", "D", "L", "S", "P", "samples", "draws")  # each must be >= 1
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,15 @@ def _complex_field(doc: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in a file; ValueError for an unreadable file or any other document."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read instance file {path!r}: {exc.strerror}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance file {path!r} does not hold a JSON object")
+    return doc
 
 
 def load_instance(path: str):

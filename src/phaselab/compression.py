@@ -34,31 +34,31 @@ __all__ = [
 ]
 
 
-def measurement_operators(V, L: int, S: int) -> list[np.ndarray]:
-    """M_z = V^H (|z><z| tensor Id_S) V for z in [L]; PSD, summing to Id_D.  V may be a spec."""
+def measurement_operators(V, L: int, S: int) -> np.ndarray:
+    """M_z = V^H (|z><z| tensor Id_S) V for z in [L], stacked (L, D, D); PSD, summing to Id_D.
+
+    V may be a spec.  All L products are one batched matrix product.
+    """
     Vm = V.V if isinstance(V, AdversarySpec) else check_isometry(V)
     if Vm.shape[0] != L * S:
         raise ValueError(f"isometry output {Vm.shape[0]} != L*S = {L * S}")
     blocks = Vm.reshape(L, S, Vm.shape[1])
-    return [b.conj().T @ b for b in blocks]
+    return np.swapaxes(blocks.conj(), -1, -2) @ blocks
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    """Square roots of a stack of PSD matrices, from one batched eigh."""
+    vals, vecs = np.linalg.eigh((m + np.swapaxes(m.conj(), -1, -2)) / 2)
     if np.min(vals) < -1e-12:
         raise ArithmeticError(f"matrix not PSD: eigenvalue {np.min(vals):.3e}")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def compress_isometry(V, L: int, S: int) -> np.ndarray:
     """compress(V): stack the square roots sqrt(M_z) into an (L*D) x D isometry."""
-    ops = measurement_operators(V, L, S)
-    D = ops[0].shape[0]
-    out = np.zeros((L * D, D), dtype=np.complex128)
-    for z, m in enumerate(ops):
-        out[z * D : (z + 1) * D, :] = _psd_sqrt(m)
-    return out
+    roots = _psd_sqrt(measurement_operators(V, L, S))
+    return roots.reshape(L * roots.shape[-1], roots.shape[-1])
 
 
 def extend_to_isometry(xs, ys) -> np.ndarray:

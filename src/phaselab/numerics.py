@@ -69,8 +69,7 @@ class RngStream:
     (seed, path) identifies the stream completely, on any machine and under any
     thread schedule.  A routine given a stream rng draws once from rng.generator(),
     or loops through `parallel_blocks`, block b drawing from rng.child(b); one that
-    calls other drawing routines hands each a fixed child.  The one exception is
-    `attacks.hadamard_attack_report`, whose draw d reads rng.child(d).
+    calls other drawing routines hands each a fixed child.
     """
 
     seed: int

@@ -180,7 +180,7 @@ def _subset_value_terms(projectors, states) -> np.ndarray:
 
 
 def _norm_bounds(S: np.ndarray) -> np.ndarray:
-    """Upper bounds on the norms of a stack of Hermitian P x P matrices; S is overwritten.
+    """Norm bounds of a contiguous stack of Hermitian P x P matrices; S is overwritten.
 
     Wolkowicz-Styan (1980): with m = tr(S)/P and s^2 = ||S - m Id||_F^2 / P, every
     eigenvalue lies within s sqrt(P - 1) of m, so ||S|| <= |m| + s sqrt(P - 1).
@@ -191,13 +191,8 @@ def _norm_bounds(S: np.ndarray) -> np.ndarray:
     diag = S.reshape(len(S), -1)[:, :: P + 1]
     m = diag.real.sum(axis=1) / P  # the diagonal's imaginary parts are exactly 0
     diag -= m[:, None]
-    return np.abs(m) + np.sqrt((P - 1) / P * _frobenius_squares(S))
-
-
-def _frobenius_squares(S: np.ndarray) -> np.ndarray:
-    """||S_i||_F^2 for each matrix of a contiguous complex stack."""
-    flat = S.reshape(len(S), -1).view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat)
+    flat = S.reshape(len(S), -1).view(np.float64)  # real and imaginary parts: P s^2 = flat . flat
+    return np.abs(m) + np.sqrt((P - 1) / P * np.einsum("ij,ij->i", flat, flat))
 
 
 def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -225,19 +220,10 @@ def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
             sums += terms[j]
         return sums
 
-    # Pass 1: a norm bound for every sum, and the exact norm of each block's top-bound sum.
-    # The bound is taken of low + H, with H the sum of b's r high terms: one add over the
-    # block rather than r.  By recursive summation that differs from the sum built in index
-    # order by at most (2r + 1) u (||low_i||_F + sum_j ||h_j||_F) in norm, u the unit
-    # roundoff, so (2r + 2) u times that is added to the bound.
-    low_norms = np.sqrt(_frobenius_squares(low))
-    term_norms = np.sqrt(_frobenius_squares(terms))
-    u = np.finfo(float).eps / 2
-
+    # Pass 1: a norm bound of every sum, the one pass 2 norms, and the exact norm of each
+    # block's top-bound sum.
     def bound_block(b, size):
-        js = high(b)
-        slack = (2 * len(js) + 2) * u * (low_norms + term_norms[js].sum())
-        bounds = _norm_bounds(low + sum(terms[j] for j in js)) + slack
+        bounds = _norm_bounds(block_sums(b))
         return bounds, float(operator_norm(block_sums(b, [int(np.argmax(bounds))]))[0])
 
     bounds, tops = zip(*parallel_blocks(bound_block, 1 << L, 1 << k))
@@ -292,7 +278,9 @@ def subset_norm_conjecture(
     1e-12; value and witness are those that a norm of every sum would give.
     'greedy' grows S by single-index additions, accepting the first improving
     move, with restart orders drawn in turn from rng.generator() (greedy needs
-    rng; brute draws nothing).  Returns (value, sorted witness).
+    rng; brute draws nothing).  Restarts are compared on the norm of their set's
+    sum in index order, as brute mode adds it, so a witness both modes find has
+    one value in both.  Returns (value, sorted witness).
     """
     L = len(projectors)
     if mode == "brute" and L > SUBSET_CUTOFF:
@@ -319,6 +307,8 @@ def subset_norm_conjecture(
                 break
             i, val = rest[better[0]], float(cands[better[0]])
             chosen, acc = chosen + [i], acc + terms[i]
+        members = tuple(sorted(chosen))
+        val = operator_norm(sum((terms[i] for i in members), np.zeros_like(terms[0])))
         if val > best_val:
-            best_val, best_set = val, tuple(sorted(chosen))
+            best_val, best_set = val, members
     return best_val, best_set

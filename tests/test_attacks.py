@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from phaselab.attacks import (
     omniscient_distinguisher,
     x_statistic,
 )
-from phaselab.game import acceptance_probability, advantage_given_f, random_family
+from phaselab.game import acceptance_probability, advantage_given_f, random_family, simulate_game
 from phaselab.numerics import CapacityError, RngStream, random_projector
 
 
@@ -100,6 +102,44 @@ class TestExactAdvantage:
         assert set(np.unique(f)) <= {-1.0, 1.0}
 
 
+class TestStacks:
+    @pytest.mark.parametrize("shape", [(30,), (2, 3)])
+    def test_each_stacked_statistic_is_the_per_family_call_bit_for_bit(self, shape):
+        R = random_family(math.prod(shape) * 8, 32, RngStream(14)).reshape(*shape, 8, 32)
+        families = R.reshape(-1, 8, 32)
+        for fn, tail in (
+            (hadamard_outcome_distribution, (32,)),
+            (hadamard_attack_exact_advantage, ()),
+            (x_statistic, ()),
+        ):
+            got = fn(R)
+            assert got.shape == shape + tail
+            want = np.array([fn(F) for F in families]).reshape(got.shape)
+            assert np.array_equal(got, want), fn.__name__
+
+    def test_one_family_gives_floats(self):
+        R = random_family(4, 8, RngStream(15))
+        assert type(hadamard_attack_exact_advantage(R)) is float
+        assert type(x_statistic(R)) is float
+
+    @pytest.mark.parametrize(
+        "R, match",
+        [
+            (np.ones(8), "K x N sign table"),
+            (np.ones((0, 2, 8)), "K x N sign table"),
+            (np.full((2, 2, 8), 2.0), r"\+1 or -1"),
+            (np.ones((2, 2, 6)), "not a power of two"),
+        ],
+    )
+    def test_stacks_are_validated(self, R, match):
+        for fn in (hadamard_outcome_distribution, hadamard_attack_exact_advantage):
+            with pytest.raises(ValueError, match=match):
+                fn(R)
+        if match != "not a power of two":
+            with pytest.raises(ValueError, match=match):
+                x_statistic(R)
+
+
 class TestXStatistic:
     def test_hand_computed(self):
         R = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
@@ -124,6 +164,22 @@ class TestAttackReport:
         a = hadamard_attack_report(4, 4, draws=10, trials=1000, rng=RngStream(7))
         b = hadamard_attack_report(4, 4, draws=10, trials=1000, rng=RngStream(7))
         assert a == b
+
+    def test_families_are_one_draw_and_the_game_reads_child_one(self, monkeypatch):
+        n, K, draws, trials, rng = 4, 4, 12, 500, RngStream(10)
+        calls = []
+        monkeypatch.setattr(attacks, "random_family", lambda *a: calls.append(a) or random_family(*a))
+        rep = hadamard_attack_report(n, K, draws=draws, trials=trials, rng=rng)
+        assert calls == [(draws * K, 16, rng.child(0))]
+        families = random_family(draws * K, 16, rng.child(0)).reshape(draws, K, 16)
+        exacts = [hadamard_attack_exact_advantage(R) for R in families]
+        xs = [x_statistic(R) for R in families]
+        adv, f = hadamard_game_encoding(families[0])
+        win = simulate_game(adv, families[0], f, trials, rng.child(1))
+        assert rep.exact_advantage == float(np.mean(exacts))
+        assert rep.x_statistic_mean == float(np.mean(xs))
+        assert rep.x_statistic_variance == float(np.var(xs, ddof=1))
+        assert rep.monte_carlo_advantage == 2.0 * win - 1.0
 
     def test_oversize_encoding_refused_before_drawing(self, monkeypatch):
         calls = []

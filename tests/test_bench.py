@@ -78,6 +78,23 @@ class TestRademacherSeries:
             rademacher_series_bench(self._coeffs(5), 10, RngStream(6))
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_every_sampled_bench_needs_one_sample(samples):
+    V = random_isometry(4, 8, RngStream(40))
+    adv = AdversarySpec(V=V, Pi=random_projector(8, 4, RngStream(41)))
+    sampler, bound = truncated_conjugation_sampler(V, adv.Pi, B=2.0)
+    runs = [
+        lambda rng: matrix_hoeffding_bench(sampler, bound, K=2, samples=samples, rng=rng),
+        lambda rng: complex_hoeffding_bench(np.full(4, 0.5), samples, rng),
+        lambda rng: width_tail_bench(V, 2, samples, rng),
+        lambda rng: advantage_tail_bench(adv, 2, samples, rng, mode="fixed-f"),
+        lambda rng: advantage_tail_bench(adv, 2, samples, rng, mode="max-f"),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            run(RngStream(42))
+
+
 class TestTruncatedConjugationSampler:
     def test_centered_over_full_enumeration(self):
         V = random_isometry(4, 8, RngStream(7))

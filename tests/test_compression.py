@@ -51,6 +51,17 @@ class TestCompressIsometry:
             blk = W[z * 3 : (z + 1) * 3]
             np.testing.assert_allclose(blk.conj().T @ blk, ops[z], atol=1e-10)
 
+    @pytest.mark.parametrize("D, L, S", [(16, 16, 16), (3, 4, 2)])
+    def test_stacked_steps_equal_the_per_z_loops_bit_for_bit(self, D, L, S):
+        V = random_isometry(D, L * S, RngStream(30 + D))
+        ops = [b.conj().T @ b for b in V.reshape(L, S, D)]
+        assert np.array_equal(measurement_operators(V, L, S), np.stack(ops))
+        roots = []
+        for m in ops:
+            vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+            roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+        assert np.array_equal(compress_isometry(V, L, S), np.concatenate(roots))
+
 
 class TestExtendToIsometry:
     def test_recovers_planted_isometry_action(self):

@@ -81,6 +81,35 @@ def test_no_public_rng_parameter_has_a_default():
     assert defaults == {"subset_norm_conjecture"}
 
 
+def _child_arguments(path):
+    """Source of each .child(...) argument that is neither an integer constant nor the name b."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "child":
+                for arg in node.args:
+                    fixed = isinstance(arg, ast.Constant) and type(arg.value) is int
+                    if not (fixed or (isinstance(arg, ast.Name) and arg.id == "b")):
+                        found.append(ast.unparse(arg))
+    return found
+
+
+def test_every_child_stream_is_fixed_or_a_block_index():
+    """The stream rule (see RngStream): a routine hands a fixed child to each routine it calls,
+    or block b of its parallel_blocks loop draws from rng.child(b)."""
+    offenders = {p.name: _child_arguments(p) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_detects_a_per_draw_child(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "for d in range(3):\n    f(rng.child(d))\n"
+        "g(rng.child(0), rng.child(b), rng.child(draws), rng.child(1.0))\n"
+    )
+    assert sorted(_child_arguments(probe)) == ["1.0", "d", "draws"]
+
+
 def test_detects_a_public_def_missing_from_all(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text('__all__ = ["listed"]\ndef listed(): pass\ndef unlisted(): pass\nx = 1\n')

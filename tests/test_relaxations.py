@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from phaselab import numerics, relaxations
 from phaselab.attacks import advice_state_adversary
+from phaselab.cli import ExperimentConfig, run
 from phaselab.decomposition import rescaling_diagonals, truncate_values
 from phaselab.game import (
     BRUTEFORCE_CUTOFF,
@@ -395,7 +396,8 @@ def _reference_brute(terms):
 
 
 def _reference_greedy(terms, restarts, rng):
-    """Greedy growth with one 2-d norm per candidate, the first improving one accepted."""
+    """Greedy growth with one 2-d norm per candidate, the first improving one accepted;
+    each restart's value is the norm of its set's sum in index order."""
     best_val, best_set, g = 0.0, (), rng.generator()
     for _ in range(restarts):
         order = g.permutation(len(terms))
@@ -408,6 +410,7 @@ def _reference_greedy(terms, restarts, rng):
                     chosen.add(i)
                     acc, val, improved = acc + terms[i], cand, True
                     break
+        val = operator_norm(sum(terms[i] for i in sorted(chosen))) if chosen else 0.0
         if val > best_val:
             best_val, best_set = val, tuple(sorted(chosen))
     return best_val, best_set
@@ -424,7 +427,18 @@ class TestSubsetNormConjecture:
         states = _unit_states(4, 3, 3)
         vb, _ = subset_norm_conjecture(projs, states, mode="brute")
         vg, _ = subset_norm_conjecture(projs, states, mode="greedy", rng=RngStream(4))
-        assert vg <= vb + 1e-10
+        assert vg <= vb + 1e-15
+
+    @pytest.mark.parametrize(
+        "N, P, L, seed", [(6, 2, 12, 5), (6, 2, 12, 11), (4, 3, 12, 2), (4, 2, 8, 12)]
+    )
+    def test_a_witness_both_modes_find_has_one_value(self, N, P, L, seed):
+        values = {}
+        for mode in ("brute", "greedy"):
+            params = {"N": N, "P": P, "L": L, "mode": mode, "restarts": 8}
+            values[mode] = run(ExperimentConfig("conjecture", params, seed=seed))["values"]
+        assert values["greedy"]["witness"] == values["brute"]["witness"]
+        assert values["greedy"]["value"] == values["brute"]["value"]
 
     def test_brute_witness_attains_value(self):
         projs = _projector_resolution(8, 4, 5)
