@@ -123,7 +123,7 @@ def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailR
         signs = random_sign_array(rng.child(b).generator(), (size, len(C)))
         return operator_norm(np.stack([np.tensordot(s, stacked, axes=1) for s in signs]))
 
-    norms = np.concatenate(parallel_blocks(run_block, samples))
+    norms = np.concatenate(list(parallel_blocks(run_block, samples)))
     bounds = [min(1.0, (d1 + d2) * np.exp(-(t**2) / (2.0 * v))) for t in thresholds]
     mean = float(norms.mean())
     se = float(norms.std(ddof=1) / np.sqrt(len(norms)))
@@ -216,7 +216,7 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
     def run_block(b, size):
         return np.abs(random_sign_array(rng.child(b).generator(), (size, a.size)) @ a)
 
-    mags = np.concatenate(parallel_blocks(run_block, samples))
+    mags = np.concatenate(list(parallel_blocks(run_block, samples)))
     bounds = [min(1.0, 2.0 * np.exp(-(t**2) / 2.0)) for t in COMPLEX_THRESHOLDS]
     sq = mags**2
     se = float(sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
@@ -236,7 +236,7 @@ def _over_families(values, K: int, N: int, samples: int, rng: RngStream) -> np.n
     def run_block(b, size):
         return values(random_family(size * K, N, rng.child(b)).reshape(size, K, N))
 
-    return np.concatenate(parallel_blocks(run_block, samples))
+    return np.concatenate(list(parallel_blocks(run_block, samples)))
 
 
 def width_tail_bench(V, K: int, samples: int, rng: RngStream) -> TailReport:

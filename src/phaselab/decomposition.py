@@ -43,9 +43,8 @@ def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
         w = isometry_weights(V)  # also checks that V is an isometry
         Vm = np.asarray(V, dtype=np.complex128)
         mask = w <= ZERO_WEIGHT_TOL
-    amps = family_images(Vm, R)  # K x M, <v_i|psi_k>
-    scale = np.sqrt(np.where(mask, 1.0, w))
-    D = amps / scale
+    D = family_images(Vm, R)  # K x M, <v_i|psi_k>, rescaled in place
+    D /= np.sqrt(np.where(mask, 1.0, w))
     D[:, mask] = 0.0
     return D, mask
 
@@ -83,8 +82,8 @@ def width(V, R):
 
 def is_b_bounded(V, R, B: float) -> bool:
     """True iff every rescaling diagonal entry of every row has magnitude <= B."""
-    if B <= 0:
-        raise ValueError("bound B must be positive")
+    if not 0 < B < np.inf:  # also refuses nan
+        raise ValueError(f"bound B must be positive and finite, got {B}")
     D, mask = rescaling_diagonals(V, R)
     active = ~mask
     return bool(np.all(np.abs(D[:, active]) <= B + 1e-12))

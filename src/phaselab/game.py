@@ -67,16 +67,17 @@ _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran s
 _DIRECTIONS = 8  # complex bound, 1/cos(pi/16) - 1 = 2 % loose: 4 and 16 ran slower at M = 22
 _SEED_ROWS = 32  # top-bound rows scored for the cut: 128 ran slower at M = 18-22
 _SLACK = 1e-9  # relative: covers the rounding of bound and GEMM, about 50u of the same scale
-_TRIAL_BLOCK = 8192  # simulate_game trials per block, each with its own stream
+_TRIAL_BLOCK = 8192  # trials per block, one stream each; their b = 1 rows scored in chunks
+_SCORE_ROWS = 1024  # 2 MiB of signs at N = 256; a multiple of 64, so chunks draw one draw's bits
 
 
 def _check_sign_array(values, ndim: int, what: str) -> np.ndarray:
-    """Validate and return a nonempty float64 +-1 array with ndim axes."""
+    """A nonempty float64 +-1 array with ndim axes, validated; float64 input comes back uncopied."""
     a = np.asarray(values)
     if a.ndim != ndim or a.size < 1:
         raise ValueError(f"expected a {what}, got shape {a.shape}")
-    r = a.astype(np.float64)
-    if not np.all(np.abs(r) == 1.0):
+    r = np.asarray(a, dtype=np.float64)
+    if not np.all((r == 1.0) | (r == -1.0)):
         raise ValueError(f"{what} entries must all be +1 or -1")
     return r
 
@@ -235,7 +236,9 @@ def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
     U = family_images(adv.V, R)  # K x M, row k = V|psi_k>
     outer = (np.swapaxes(U.conj(), -1, -2) @ U) / U.shape[-2]  # E_k conj(u_i) u_j at (i, j)
     gram = adv.V @ adv.V.conj().T
-    return adv.Pi * (outer - gram.conj() / adv.N)
+    np.conjugate(gram, out=gram)
+    gram /= adv.N
+    return adv.Pi * (outer - gram)  # as written: `outer *= Pi` rounds otherwise at small M
 
 
 def kernel_quadratic_form(B: np.ndarray, f) -> float:
@@ -419,7 +422,7 @@ def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> floa
     identical to the random-basis-state challenger).  The adversary measures
     Pi on O_f V |psi> and answers 0 on acceptance, with probability
     h^T Q_f h / N.  Random phase states are drawn and scored only on b = 1
-    trials, in one GEMM per block of trials.
+    trials, _SCORE_ROWS at a time, with the bits and values of one draw and one GEMM.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -432,9 +435,11 @@ def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> floa
         ones = g.integers(0, 2, size=size) == 1
         ks = g.integers(0, Rv.shape[0], size=size)
         u = g.random(size)
-        H = random_sign_array(g, (int(ones.sum()), adv.N))
-        p = p_rows[ks]
-        p[ones] = _acceptance(adv, Q, H)
+        p, at = p_rows[ks], np.flatnonzero(ones)
+        # A lone last row joins the chunk before it: numpy scores one row as gemv, with other bits.
+        starts = range(0, max(len(at) - 1, 1), _SCORE_ROWS)
+        for lo, hi in zip(starts, [*starts[1:], len(at)]):
+            p[at[lo:hi]] = _acceptance(adv, Q, random_sign_array(g, (hi - lo, adv.N)))
         # The adversary answers 1 (b = 1) exactly when it does not accept.
         return int(np.sum((u >= p) == ones))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -114,12 +115,13 @@ def thread_count() -> int:
     return max(1, n)
 
 
-def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> list:
-    """Run fn(b, size) over blocks of `block` items covering `total`, the last shorter.
+def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> Iterator:
+    """Iterate fn(b, size) over blocks of `block` items covering `total`, the last shorter.
 
     Blocks run in parallel if configured; a block that draws takes rng.child(b)
-    of its routine's stream rng (see RngStream).  Results come back in block
-    order, so any reduction over them is deterministic regardless of the worker count.
+    of its routine's stream rng (see RngStream).  Results come lazily (one worker runs
+    block b when it is read) and in block order, so any reduction over them is
+    deterministic regardless of the worker count.  A caller needing a sequence lists them.
     """
     n_blocks = max(0, -(-total // block))
 
@@ -128,9 +130,9 @@ def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> list:
 
     workers = min(thread_count(), n_blocks)
     if workers <= 1:
-        return [run(b) for b in range(n_blocks)]
+        return map(run, range(n_blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_blocks)))
+        return pool.map(run, range(n_blocks))
 
 
 def _as_matrix(m, stack: bool = False) -> np.ndarray:
@@ -157,6 +159,7 @@ def _route_norms(a: np.ndarray, hermitian: bool) -> np.ndarray:
         return np.maximum(w[..., -1], -w[..., 0]) + 0.0  # a zero matrix gives max(0, -0) = -0.0
     ah = np.swapaxes(a.conj(), -1, -2)
     gram = ah @ a if a.shape[-2] >= a.shape[-1] else a @ ah
+    del ah  # not alive through the eigensolve
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
@@ -174,7 +177,8 @@ def operator_norm(m):
     a = _as_matrix(m, stack=True)
     herm = np.zeros(a.shape[:-2], dtype=bool)
     if a.shape[-1] == a.shape[-2]:
-        herm = (a == np.swapaxes(a.conj(), -1, -2)).all(axis=(-2, -1))
+        t = np.swapaxes(a, -1, -2)  # a == a^H by parts, with no conjugated copy of a
+        herm = ((a.real == t.real) & (a.imag == -t.imag)).all(axis=(-2, -1))
     count = np.count_nonzero(herm)
     if 0 < count < herm.size:  # a mixed stack: each route on its own copy
         out = np.empty(herm.shape)

@@ -12,6 +12,8 @@ product-space measurements rounds out the module.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .decomposition import rescaling_diagonals, truncate_values
@@ -49,12 +51,12 @@ SUBSET_CUTOFF = 20  # most projectors whose 2^L subsets the brute-force mode enu
 
 
 def _weight_basis(adv: AdversarySpec, kernel: np.ndarray) -> np.ndarray:
-    """kernel_ij / sqrt(wt_i wt_j), with zero-weight rows and columns set to 0."""
+    """kernel_ij / sqrt(wt_i wt_j), with zero-weight rows and columns 0, in place of kernel."""
     scale = np.sqrt(np.where(adv.mask, 1.0, adv.weights))
-    out = kernel / np.outer(scale, scale)  # an exactly Hermitian kernel stays so
-    out[adv.mask, :] = 0.0
-    out[:, adv.mask] = 0.0
-    return out
+    kernel /= np.outer(scale, scale)  # an exactly Hermitian kernel stays so
+    kernel[adv.mask, :] = 0.0
+    kernel[:, adv.mask] = 0.0
+    return kernel
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -96,22 +98,25 @@ def truncated_spectral_relaxation(
     """
     if samples < 1 or samples % TRUNCATED_BATCHES:
         raise ValueError(f"samples must be a positive multiple of {TRUNCATED_BATCHES}: {samples}")
-    plain = _weight_basis(adv, advantage_kernel(adv, R))
     D, _ = rescaling_diagonals(adv, R)
-    family_gain = _clip_gain(D, B) / len(D)
+    truncate_values(D, B)  # refuses a bad B before any draw
 
     def run_batch(b, size):
         g = rng.child(b).generator()
         Dh, _ = rescaling_diagonals(adv, random_sign_array(g, (size, adv.N)))
         return _clip_gain(Dh, B)
 
-    sums = parallel_blocks(run_batch, samples, samples // TRUNCATED_BATCHES)
-    half = TRUNCATED_BATCHES // 2
-    first, second = sum(sums[:half]), sum(sums[half:])
-    h_gain = (first + second) / samples
-    value = operator_norm(plain + adv.Pi * _hermitian_part(family_gain - h_gain))
-    error = operator_norm(adv.Pi * _hermitian_part(first - second) / samples)
-    return value, error
+    # One worker holds at most four M x M matrices: each is dropped after its last use.
+    gains = parallel_blocks(run_batch, samples, samples // TRUNCATED_BATCHES)
+    first, second = sum(islice(gains, TRUNCATED_BATCHES // 2)), sum(gains)
+    gain = (first + second) / samples  # the all-h gain
+    first -= second
+    del second
+    error = operator_norm(adv.Pi * _hermitian_part(first) / samples)
+    del first
+    gain = _clip_gain(D, B) / len(D) - gain  # the family's gain less the all-h gain
+    plain = _weight_basis(adv, advantage_kernel(adv, R))
+    return operator_norm(plain + adv.Pi * _hermitian_part(gain)), error
 
 
 def decoupled_spectral_relaxation(adv: AdversarySpec, R, Rp) -> float:
@@ -240,7 +245,7 @@ def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
                 return np.arange(size), operator_norm(block_sums(b))
             return rows, operator_norm(block_sums(b, rows)) if rows.size else np.empty(0)
 
-        return parallel_blocks(norm_block, 1 << L, 1 << k)
+        return list(parallel_blocks(norm_block, 1 << L, 1 << k))
 
     # Why the scan below returns the per-subset loop's (value, witness): every skipped
     # norm lies below cut, and cut + 1e-12 is a norm of some sum, so cut is below the

@@ -180,6 +180,12 @@ class TestBoundedness:
         with pytest.raises(ValueError):
             is_b_bounded(np.eye(4), random_family(2, 4, RngStream(0)), -1.0)
 
+    @pytest.mark.parametrize("B", [np.nan, np.inf])
+    def test_rejects_non_finite_bound(self, B):
+        # Like truncate_values: nan used to give False and inf True.
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            is_b_bounded(np.eye(4), random_family(2, 4, RngStream(0)), B)
+
     def test_zero_weight_tolerance_exported(self):
         assert 0 < ZERO_WEIGHT_TOL < 1e-10
         assert phaselab.ZERO_WEIGHT_TOL is ZERO_WEIGHT_TOL

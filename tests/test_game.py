@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phaselab
 from phaselab import game
 from phaselab.game import (
     BRUTEFORCE_CUTOFF,
@@ -602,3 +603,158 @@ class TestSimulateGame:
         adv = _random_adversary(4, 6, 3, 73)
         with pytest.raises(ValueError):
             simulate_game(adv, random_family(2, 4, RngStream(0)), np.ones(6), 0, RngStream(1))
+
+
+class TestChunkedScoring:
+    """simulate_game scores each block's b = 1 rows in chunks; the reference draws and
+    scores all of a block's rows at once, from the same streams."""
+
+    @staticmethod
+    def _ones(rng, b, size):  # b = 1 trials of block b, the stream's first draw
+        return int(np.sum(rng.child(b).generator().integers(0, 2, size=size) == 1))
+
+    @staticmethod
+    def _one_shot(adv, R, f, trials, rng, accept):
+        Q = game._acceptance_form(adv, f)
+        p_rows, wins = accept(adv, Q, R), 0
+        for b, start in enumerate(range(0, trials, game._TRIAL_BLOCK)):
+            size = min(game._TRIAL_BLOCK, trials - start)
+            g = rng.child(b).generator()
+            ones = g.integers(0, 2, size=size) == 1
+            ks = g.integers(0, len(R), size=size)
+            u = g.random(size)
+            p = p_rows[ks]
+            p[ones] = accept(adv, Q, random_sign_array(g, (int(ones.sum()), adv.N)))
+            wins += int(np.sum((u >= p) == ones))
+        return wins / trials
+
+    @pytest.mark.parametrize("N", [12, 256])  # 12 * 1024 bits is whole words, 12 is not
+    @pytest.mark.parametrize("last", [None, 1025, 0, 1])  # b = 1 rows of a short last block
+    def test_equals_one_shot_scoring_bit_for_bit(self, N, last, monkeypatch):
+        adv = _random_adversary(N, N, N // 2, 901)
+        R = random_family(8, N, RngStream(902))
+        f = random_sign_array(RngStream(903).generator(), N)
+        rng, size = RngStream(900), game._TRIAL_BLOCK
+        if last is not None:  # the first stream and size whose last block has `last` such rows
+            rng, size = next(
+                (RngStream(seed), s)
+                for seed in range(900, 999)
+                for s in range(1, 2 * last + 64)
+                if self._ones(RngStream(seed), 1, s) == last
+            )
+        trials = game._TRIAL_BLOCK + size
+        accept, got, want = game._acceptance, [], []
+
+        def spy(into):
+            def call(*args):
+                into.append(accept(*args))
+                return into[-1]
+
+            return call
+
+        monkeypatch.setattr(game, "_acceptance", spy(got))
+        win = simulate_game(adv, R, f, trials, rng)
+        monkeypatch.undo()
+        assert win == self._one_shot(adv, R, f, trials, rng, spy(want))
+        np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
+        rows = [len(p) for p in got[1:]]  # got[0] scores the family's rows
+        assert max(rows) <= game._SCORE_ROWS + 1
+        if last is None:
+            assert max(rows) == game._SCORE_ROWS  # blocks of about 4096 rows, in chunks
+        else:
+            assert rows[-1] == last  # the short last block, as one chunk
+
+    def test_block_memory_is_bounded(self):
+        # N = 256, 10^5 trials: one chunk of 1024 b = 1 rows, 2 MiB of signs, at a time,
+        # not a block's 4096 (the 8192-trial blocks held about 17 MiB at once).
+        import tracemalloc
+
+        adv = _random_adversary(256, 256, 128, 910)
+        R = random_family(16, 256, RngStream(911))
+        f = random_sign_array(RngStream(912).generator(), 256)
+        tracemalloc.start()
+        try:
+            simulate_game(adv, R, f, 100_000, RngStream(913))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+
+def _read_only(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+class TestSignTablesAreNotCopied:
+    """A float64 sign table is validated in place, so no caller may write into it."""
+
+    def test_float64_input_returned_as_is(self):
+        R, row = random_family(4, 8, RngStream(920)), random_family(1, 8, RngStream(921))[0]
+        assert check_family(R) is R
+        assert check_signs(row) is row
+
+    def test_check_uses_no_copy_of_the_table(self):
+        import tracemalloc
+
+        R = random_family(64, 1024, RngStream(922))  # 512 KiB
+        tracemalloc.start()
+        try:
+            check_family(R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.nbytes / 2  # three Boolean masks, not a float64 copy and its |.|
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda adv, R, f: check_family(R),
+            lambda adv, R, f: check_signs(f),
+            lambda adv, R, f: game.family_images(adv.V, R),
+            lambda adv, R, f: phase_state(R[0]),
+            lambda adv, R, f: acceptance_probability(adv, R[0], f),
+            lambda adv, R, f: haar_average_acceptance(adv, f),
+            lambda adv, R, f: advantage_given_f(adv, R, f),
+            lambda adv, R, f: advantage_given_f(adv, np.stack([R, R]), f),
+            lambda adv, R, f: advantage_kernel(adv, R),
+            lambda adv, R, f: kernel_quadratic_form(advantage_kernel(adv, R), f),
+            lambda adv, R, f: max_advantage_bruteforce(adv, R),
+            lambda adv, R, f: max_advantage_localsearch(adv, R, 2, rng=RngStream(1)),
+            lambda adv, R, f: simulate_game(adv, R, f, 100, RngStream(1)),
+            lambda adv, R, f: phaselab.rescaling_diagonals(adv, R),
+            lambda adv, R, f: phaselab.width(adv, R),
+            lambda adv, R, f: phaselab.is_b_bounded(adv, R, 2.0),
+            lambda adv, R, f: phaselab.spectral_relaxation(adv, R),
+            lambda adv, R, f: phaselab.truncated_spectral_relaxation(
+                adv, R, 1.0, 10, rng=RngStream(1)
+            ),
+            lambda adv, R, f: phaselab.decoupled_spectral_relaxation(adv, R, R),
+            lambda adv, R, f: phaselab.decoupled_advantage_given_f(adv, R, R, f),
+            lambda adv, R, f: phaselab.max_decoupled_bruteforce(adv, R, R),
+            lambda adv, R, f: phaselab.hadamard_outcome_distribution(R),
+            lambda adv, R, f: phaselab.hadamard_attack_exact_advantage(np.stack([R, R])),
+            lambda adv, R, f: phaselab.hadamard_game_encoding(R),
+            lambda adv, R, f: phaselab.x_statistic(R),
+            lambda adv, R, f: phaselab.omniscient_distinguisher(R),
+            lambda adv, R, f: phaselab.omniscient_advantage(R),
+        ],
+    )
+    def test_read_only_tables_pass_through(self, call):
+        adv = _random_adversary(8, 10, 5, 930)
+        R = _read_only(random_family(4, 8, RngStream(931)))
+        f = _read_only(random_sign_array(RngStream(932).generator(), 10))
+        before = R.copy(), f.copy()
+        call(adv, R, f)
+        np.testing.assert_array_equal(R, before[0])
+        np.testing.assert_array_equal(f, before[1])
+
+    def test_integer_input_converted(self):
+        out = check_family(np.array([[1, -1], [-1, 1]]))
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan, -np.inf])
+    def test_non_signs_rejected(self, bad):
+        with pytest.raises(ValueError, match="must all be"):
+            check_family([[1.0, bad]])

@@ -75,18 +75,27 @@ class TestRandomSignArray:
 
 
 class TestParallelBlocks:
+    # parallel_blocks returns an iterator; list() reads all of it.
     def test_results_are_ordered(self):
-        assert parallel_blocks(lambda b, size: b * b, 17, 1) == [b * b for b in range(17)]
+        assert list(parallel_blocks(lambda b, size: b * b, 17, 1)) == [b * b for b in range(17)]
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_last_block_is_shorter(self, threads, monkeypatch):
         monkeypatch.setenv("PHASELAB_THREADS", threads)
-        got = parallel_blocks(lambda b, size: (b, size), 10, 4)
+        got = list(parallel_blocks(lambda b, size: (b, size), 10, 4))
         assert got == [(0, 4), (1, 4), (2, 2)]
-        assert parallel_blocks(lambda b, size: size, 12, 4) == [4, 4, 4]
+        assert list(parallel_blocks(lambda b, size: size, 12, 4)) == [4, 4, 4]
 
     def test_no_items_no_blocks(self):
-        assert parallel_blocks(lambda b, size: size, 0) == []
+        assert list(parallel_blocks(lambda b, size: size, 0)) == []
+
+    def test_one_worker_runs_each_block_when_read(self, monkeypatch):
+        monkeypatch.setenv("PHASELAB_THREADS", "1")
+        ran = []
+        blocks = parallel_blocks(lambda b, size: ran.append(b) or b, 3, 1)
+        assert ran == []
+        assert next(blocks) == 0 and ran == [0]
+        assert list(blocks) == [1, 2] and ran == [0, 1, 2]
 
     def test_thread_count_positive(self):
         assert thread_count() >= 1

@@ -122,7 +122,7 @@ class TestZeroWeightRow:
     def test_weight_basis(self, row):
         adv = self._adversary(row)
         B = advantage_kernel(adv, random_family(4, self.N, RngStream(56)))
-        A = relaxations._weight_basis(adv, B)
+        A = relaxations._weight_basis(adv, B.copy())  # it overwrites its kernel
         w = np.sum(np.abs(adv.V) ** 2, axis=1) / adv.N
         keep = np.arange(self.M) != 3
         np.testing.assert_array_equal(A[3], 0.0)
@@ -269,6 +269,44 @@ class TestTruncatedRelaxation:
         R = random_family(4, 6, RngStream(17))
         truncated_spectral_relaxation(adv, R, B=1.5, samples=500, rng=RngStream(18))
         assert calls == [(16, 16), (16, 16)]
+
+    @pytest.mark.parametrize("M", [12, 160])  # numpy reuses temporaries only above 256 KiB
+    def test_streamed_batches_sum_as_a_list(self, M):
+        # Reference: every batch gain held in a list, summed by halves, combined as one
+        # expression; the streamed batches give the same value and error bit for bit.
+        adv = _random_adversary(M // 2, M, M // 2, 22)
+        R, B, samples, rng = random_family(5, M // 2, RngStream(23)), 1.2, 400, RngStream(24)
+
+        def batch_gain(b):
+            H = random_sign_array(rng.child(b).generator(), (40, adv.N))
+            return relaxations._clip_gain(rescaling_diagonals(adv, H)[0], B)
+
+        gains = [batch_gain(b) for b in range(relaxations.TRUNCATED_BATCHES)]
+        first, second = sum(gains[:5]), sum(gains[5:])
+        plain = relaxations._weight_basis(adv, advantage_kernel(adv, R))
+        D = rescaling_diagonals(adv, R)[0]
+        gain = relaxations._clip_gain(D, B) / len(D) - (first + second) / samples
+        value = operator_norm(plain + adv.Pi * relaxations._hermitian_part(gain))
+        error = operator_norm(adv.Pi * relaxations._hermitian_part(first - second) / samples)
+        assert error > 0.0
+        assert truncated_spectral_relaxation(adv, R, B, samples, rng=rng) == (value, error)
+
+    def test_at_most_four_kernels_alive(self):
+        # M = 256: each M x M complex matrix is 1 MiB; the ten batch gains are never held
+        # at once (18 MiB was the peak with them).  The allowance of 1/4 MiB covers numpy's
+        # iteration buffers and the K x M and N x M arrays.
+        import tracemalloc
+
+        M = 256
+        adv = _random_adversary(8, M, M // 2, 25)
+        R = random_family(8, 8, RngStream(26))
+        tracemalloc.start()
+        try:
+            truncated_spectral_relaxation(adv, R, 1.0, 10, rng=RngStream(27))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * M * M + (1 << 18)
 
     @pytest.mark.parametrize("samples", [0, -10, 5, 2005])
     def test_samples_off_the_batches_refused(self, samples):
