@@ -10,14 +10,13 @@ attack whose honest query dimension 2^(K*N) is exposed by a calculator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AdversarySpec, check_family, phase_state, random_family, simulate_game
-from .numerics import CapacityError, RngStream, check_norm_budget, check_unit_vector
-from .numerics import span_basis
+from .game import AdversarySpec, check_families, check_family, phase_state, random_family
+from .game import simulate_game
+from .numerics import CapacityError, RngStream, check_norm_budget, check_unit_vector, span_basis
 
 __all__ = [
     "HadamardAttackReport",
@@ -64,20 +63,13 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_families(R) -> np.ndarray:
-    """Validate and return a K x N family or a stack of them, shape (..., K, N), row by row."""
-    a = np.asarray(R)
-    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) if a.ndim > 2 else a
-    return check_family(rows).reshape(a.shape)
-
-
 def hadamard_outcome_distribution(R) -> np.ndarray:
     """Distribution of the standard-basis outcome after transforming a family state.
 
     M_R(y) = E_k |<y| H |psi_{R_k}>|^2, computed via the Walsh spectrum.  A stack
     of families (..., K, N) gives (..., N), each its family's own distribution.
     """
-    Rv = _check_families(R)
+    Rv = check_families(R)
     spec = fwht(Rv)  # a copy, scaled and squared in place: row k becomes |H |psi_{R_k}>|^2
     spec /= Rv.shape[-1]
     spec **= 2
@@ -148,7 +140,7 @@ def hadamard_attack_report(
 
 def x_statistic(R):
     """X_R = (1/N) E_k (sum_x R_k(x))^2 -- the squared-row-sum statistic; a stack gives (...)."""
-    Rv = _check_families(R)
+    Rv = check_families(R)
     x = np.mean(Rv.sum(axis=-1) ** 2, axis=-1) / Rv.shape[-1]
     return float(x) if Rv.ndim == 2 else x
 

@@ -234,9 +234,8 @@ def _conjecture(p: dict, rng: RngStream, instance: dict | None) -> dict:
 
 
 def _compress(p: dict, rng: RngStream, instance: dict | None) -> dict:
-    L, S = p["L"], p["S"]
-    adv = _random_adversary(p["D"], L * S, (L * S) // 2, rng)
-    dev = verify_one_query_simulation(adv, L, p["trials"], rng.child(2))
+    V = random_isometry(p["D"], p["L"] * p["S"], rng.child(0))
+    dev = verify_one_query_simulation(V, p["L"], p["trials"], rng.child(2))
     return {"max_deviation": dev, "passed": dev <= 1e-8}
 
 
@@ -293,7 +292,7 @@ COMMANDS = {
     "compress": Command(
         "compression-verify", "verify one-query space reduction",
         {"D": 4, "L": 8, "S": 4, "trials": 50},
-        lambda p: (p["L"] * p["S"],) * 2, _compress,
+        lambda p: (p["L"] * p["S"], p["D"]), _compress,
     ),
 }
 

@@ -91,25 +91,23 @@ def extend_to_isometry(xs, ys) -> np.ndarray:
     return T
 
 
-def verify_one_query_simulation(
-    adv: AdversarySpec, L: int, trials: int, rng: RngStream
-) -> float:
+def verify_one_query_simulation(V, L: int, trials: int, rng: RngStream) -> float:
     """Max inner-product deviation between original and compressed executions.
 
     For random oracle pairs (f, g) on [L] and random input states (x, y), the
     vectors Phi_{f,x} = (O_f tensor Id) V |x> and their compressed analogues
     must have identical pairwise inner products; the returned maximum
     deviation certifies that every one-query measurement statistic survives
-    compression.
+    compression.  V may be a spec; only its isometry is read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    Vm = adv.V
+    Vm = V.V if isinstance(V, AdversarySpec) else check_isometry(V)
     M, D = Vm.shape
     if M % L != 0:
         raise ValueError(f"total dimension {M} does not factor through L = {L}")
     S = M // L
-    W = compress_isometry(adv, L, S)
+    W = compress_isometry(V, L, S)
 
     def run_block(b, size):
         g = rng.child(b).generator()

@@ -33,9 +33,9 @@ __all__ = [
 def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
     """Rescaling diagonals for every row of a family at once.
 
-    Returns (D, mask) where D is K x M with D[k, i] = <v_i|psi_{R_k}>/sqrt(wt_i)
-    (0 at masked indices) and mask marks zero-weight rows of V.  V may be an
-    AdversarySpec, whose stored weights and mask are used as they are.
+    Returns (D, mask): D is K x M, (..., K, M) for a stack, with D[k, i] =
+    <v_i|psi_{R_k}>/sqrt(wt_i) (0 at masked indices), and mask marks zero-weight rows
+    of V.  V may be an AdversarySpec, whose stored weights and mask are used as they are.
     """
     if isinstance(V, AdversarySpec):
         Vm, w, mask = V.V, V.weights, V.mask
@@ -43,9 +43,9 @@ def rescaling_diagonals(V, R) -> tuple[np.ndarray, np.ndarray]:
         w = isometry_weights(V)  # also checks that V is an isometry
         Vm = np.asarray(V, dtype=np.complex128)
         mask = w <= ZERO_WEIGHT_TOL
-    D = family_images(Vm, R)  # K x M, <v_i|psi_k>, rescaled in place
+    D = family_images(Vm, R)  # (..., K, M), <v_i|psi_k>, rescaled in place
     D /= np.sqrt(np.where(mask, 1.0, w))
-    D[:, mask] = 0.0
+    D[..., mask] = 0.0
     return D, mask
 
 
@@ -65,25 +65,20 @@ def truncate_values(values: np.ndarray, B: float) -> np.ndarray:
 def width(V, R):
     """max over unmasked i of (1/K) sum_k |<v_i|psi_{R_k}>|^2 / wt_i.
 
-    R is one K x N family (gives a float) or a stack of shape (..., K, N) (gives
-    an array of shape (...), one width per family), through one
-    `rescaling_diagonals` call, so V is checked once for the whole stack.
+    A stack of families gives an array of shape (...), one width per family,
+    through one `rescaling_diagonals` call, so V is checked once for the whole stack.
     """
-    Rv = np.asarray(R)
-    if Rv.ndim < 2:
-        raise ValueError(f"expected a K x N sign table or a stack of them, got shape {Rv.shape}")
-    D, mask = rescaling_diagonals(V, Rv.reshape(-1, Rv.shape[-1]))
+    D, mask = rescaling_diagonals(V, R)
     if mask.all():
         raise ValueError("isometry has no rows with nonzero weight")
-    col_means = np.mean(np.abs(D.reshape(*Rv.shape[:-1], -1)) ** 2, axis=-2)
-    widths = np.max(col_means[..., ~mask], axis=-1)
-    return float(widths) if Rv.ndim == 2 else widths
+    widths = np.max(np.mean(np.abs(D) ** 2, axis=-2)[..., ~mask], axis=-1)
+    return float(widths) if D.ndim == 2 else widths
 
 
-def is_b_bounded(V, R, B: float) -> bool:
-    """True iff every rescaling diagonal entry of every row has magnitude <= B."""
+def is_b_bounded(V, R, B: float):
+    """True iff every rescaling diagonal entry of every row has magnitude <= B; per family."""
     if not 0 < B < np.inf:  # also refuses nan
         raise ValueError(f"bound B must be positive and finite, got {B}")
     D, mask = rescaling_diagonals(V, R)
-    active = ~mask
-    return bool(np.all(np.abs(D[:, active]) <= B + 1e-12))
+    bounded = np.all(np.abs(D[..., ~mask]) <= B + 1e-12, axis=(-2, -1))
+    return bool(bounded) if D.ndim == 2 else bounded

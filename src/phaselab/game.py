@@ -45,6 +45,7 @@ __all__ = [
     "AdversarySpec",
     "check_bruteforce_size",
     "check_family",
+    "check_families",
     "check_signs",
     "family_images",
     "random_family",
@@ -139,8 +140,12 @@ class AdversarySpec:
         return self.V.shape[0]
 
 
-def _check_families(R) -> np.ndarray:
-    """Validate and return a K x N family or a stack of them, shape (..., K, N)."""
+def check_families(R) -> np.ndarray:
+    """Validate and return one K x N family or a stack of them, shape (..., K, N).
+
+    The family rule: a routine that takes either indexes only the last axes and gives
+    one result per family, each its single call's bit for bit; others take `check_family`.
+    """
     return _check_sign_array(R, max(np.ndim(R), 2), "K x N sign table or a stack of them")
 
 
@@ -149,7 +154,7 @@ def family_images(V, R) -> np.ndarray:
 
     A stack of families (..., K, N) gives (..., K, M), each family's own product.
     """
-    Rv = _check_families(R)
+    Rv = check_families(R)
     N = V.shape[1]
     if Rv.shape[-1] != N:
         raise ValueError(f"family width {Rv.shape[-1]} != N = {N}")
@@ -218,7 +223,7 @@ def advantage_given_f(adv: AdversarySpec, R, f):
     the all-h average tr(Q_f) / N.  A stack of families (..., K, N) gives (...).
     """
     Q = _acceptance_form(adv, f)
-    Rv = _check_families(R)
+    Rv = check_families(R)
     fam = np.mean(_acceptance(adv, Q, Rv), axis=-1)
     gap = np.abs(fam - _acceptance(adv, Q)[0])
     return float(gap) if Rv.ndim == 2 else gap
@@ -242,8 +247,10 @@ def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
 
 
 def kernel_quadratic_form(B: np.ndarray, f) -> float:
-    """Signed gap f^T B f (real for Hermitian B and +-1 vectors f)."""
+    """Signed gap f^T B f (real for Hermitian B and +-1 vectors f) of one M x M kernel."""
     fv = check_signs(f)
+    if np.shape(B) != (fv.size, fv.size):
+        raise ValueError(f"expected one {fv.size} x {fv.size} kernel, got shape {np.shape(B)}")
     return float(np.real(fv @ (B @ fv)))
 
 
@@ -389,7 +396,7 @@ def max_advantage_localsearch(adv: AdversarySpec, R, restarts: int = 20, *, rng:
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    B = advantage_kernel(adv, R)
+    B = advantage_kernel(adv, check_family(R))
     m = B.shape[0]
     diag = np.real(np.diagonal(B))
     cols = np.ascontiguousarray(B.T)  # cols[i] = B[:, i]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -118,21 +119,27 @@ def thread_count() -> int:
 def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> Iterator:
     """Iterate fn(b, size) over blocks of `block` items covering `total`, the last shorter.
 
-    Blocks run in parallel if configured; a block that draws takes rng.child(b)
-    of its routine's stream rng (see RngStream).  Results come lazily (one worker runs
-    block b when it is read) and in block order, so any reduction over them is
-    deterministic regardless of the worker count.  A caller needing a sequence lists them.
+    Blocks run in parallel if configured; a block that draws takes rng.child(b) of its
+    routine's stream rng (see RngStream).  Results come lazily and in block order, so any
+    reduction over them is the same for every worker count: one worker runs block b when
+    it is read, w hold at most w blocks, running or unread.  A caller needing a sequence lists them.
     """
     n_blocks = max(0, -(-total // block))
 
     def run(b):
         return fn(b, min(block, total - b * block))
 
+    def window():  # block b is submitted once block b - workers has been read
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque(pool.submit(run, b) for b in range(workers))
+            for b in range(workers, n_blocks):
+                yield pending.popleft().result()
+                pending.append(pool.submit(run, b))
+            while pending:
+                yield pending.popleft().result()
+
     workers = min(thread_count(), n_blocks)
-    if workers <= 1:
-        return map(run, range(n_blocks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return pool.map(run, range(n_blocks))
+    return map(run, range(n_blocks)) if workers <= 1 else window()
 
 
 def _as_matrix(m, stack: bool = False) -> np.ndarray:

@@ -6,8 +6,8 @@ and columns 0.  Replacing the unit vector O_f |wt_V> by any unit vector bounds
 the advantage by ||A||_op: the spectral relaxation.  The plain relaxation takes
 B from `advantage_kernel`, the decoupled one (two independent families) from
 `decoupled_kernel`; the truncated one clips the rescaling diagonals at B and
-corrects the clipped all-h entries by Monte Carlo.  A subset-norm explorer for
-product-space measurements rounds out the module.
+corrects the clipped all-h entries by Monte Carlo.  All but it and the fixed-f
+advantage take stacks of families.  A subset-norm explorer rounds out the module.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .game import (
     AdversarySpec,
     advantage_kernel,
     check_bruteforce_size,
+    check_family,
     check_signs,
     family_images,
     max_abs_quadratic,
@@ -51,11 +52,11 @@ SUBSET_CUTOFF = 20  # most projectors whose 2^L subsets the brute-force mode enu
 
 
 def _weight_basis(adv: AdversarySpec, kernel: np.ndarray) -> np.ndarray:
-    """kernel_ij / sqrt(wt_i wt_j), with zero-weight rows and columns 0, in place of kernel."""
+    """kernel_ij / sqrt(wt_i wt_j), zero-weight rows and columns 0, in place; or of a stack."""
     scale = np.sqrt(np.where(adv.mask, 1.0, adv.weights))
     kernel /= np.outer(scale, scale)  # an exactly Hermitian kernel stays so
-    kernel[adv.mask, :] = 0.0
-    kernel[:, adv.mask] = 0.0
+    kernel[..., adv.mask, :] = 0.0
+    kernel[..., adv.mask] = 0.0
     return kernel
 
 
@@ -70,7 +71,7 @@ def _clip_gain(D: np.ndarray, B: float) -> np.ndarray:
     return (DB - D).conj().T @ (DB + D)
 
 
-def spectral_relaxation(adv: AdversarySpec, R) -> float:
+def spectral_relaxation(adv: AdversarySpec, R):
     """||advantage_kernel(adv, R) in the weight basis|| = ||E_k D_k^H Pi D_k - E_h D_h^H Pi D_h||"""
     return operator_norm(_weight_basis(adv, advantage_kernel(adv, R)))
 
@@ -98,7 +99,7 @@ def truncated_spectral_relaxation(
     """
     if samples < 1 or samples % TRUNCATED_BATCHES:
         raise ValueError(f"samples must be a positive multiple of {TRUNCATED_BATCHES}: {samples}")
-    D, _ = rescaling_diagonals(adv, R)
+    D, _ = rescaling_diagonals(adv, check_family(R))
     truncate_values(D, B)  # refuses a bad B before any draw
 
     def run_batch(b, size):
@@ -119,7 +120,7 @@ def truncated_spectral_relaxation(
     return operator_norm(plain + adv.Pi * _hermitian_part(gain)), error
 
 
-def decoupled_spectral_relaxation(adv: AdversarySpec, R, Rp) -> float:
+def decoupled_spectral_relaxation(adv: AdversarySpec, R, Rp):
     """||decoupled_kernel(adv, R, Rp) in the weight basis|| = ||E_k D_k^H Pi D'_k||."""
     return operator_norm(_weight_basis(adv, decoupled_kernel(adv, R, Rp)))
 
@@ -128,14 +129,14 @@ def decoupled_kernel(adv: AdversarySpec, R, Rp) -> np.ndarray:
     """M x M kernel C with  f^T C f = E_k <psi_k| V^H O_f Pi O_f V |psi'_k>."""
     U, Up = family_images(adv.V, R), family_images(adv.V, Rp)
     if U.shape != Up.shape:
-        raise ValueError(f"family shapes differ: {U.shape[0]} vs {Up.shape[0]} rows")
-    return adv.Pi * (U.conj().T @ Up) / U.shape[0]
+        raise ValueError(f"family shapes differ: {U.shape[:-1]} vs {Up.shape[:-1]}")
+    return adv.Pi * (np.swapaxes(U.conj(), -1, -2) @ Up) / U.shape[-2]
 
 
 def decoupled_advantage_given_f(adv: AdversarySpec, R, Rp, f) -> float:
-    """|E_k <psi_k| V^H O_f Pi O_f V |psi'_k>| at a fixed oracle function."""
+    """|E_k <psi_k| V^H O_f Pi O_f V |psi'_k>| at a fixed oracle function, for one family each."""
     fv = check_signs(f)
-    C = decoupled_kernel(adv, R, Rp)
+    C = decoupled_kernel(adv, check_family(R), check_family(Rp))
     return float(np.abs(fv @ (C @ fv)))
 
 

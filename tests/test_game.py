@@ -328,7 +328,9 @@ class TestLockstepLocalSearch:
     @staticmethod
     def _run(monkeypatch, B, restarts, seed):
         monkeypatch.setattr(game, "advantage_kernel", lambda adv, R: B)
-        return max_advantage_localsearch(None, None, restarts=restarts, rng=RngStream(seed))
+        # R is checked as one family before the (patched) kernel is built.
+        R = np.ones((1, 1))
+        return max_advantage_localsearch(None, R, restarts=restarts, rng=RngStream(seed))
 
     @given(
         st.integers(min_value=1, max_value=40),

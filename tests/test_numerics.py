@@ -97,6 +97,21 @@ class TestParallelBlocks:
         assert next(blocks) == 0 and ran == [0]
         assert list(blocks) == [1, 2] and ran == [0, 1, 2]
 
+    def test_workers_hold_a_bounded_window_of_blocks(self, monkeypatch):
+        # Each block returns 1 MiB.  Two workers hold at most two blocks, running or done
+        # and unread, besides the one the loop holds: 3 MiB, where all ten were 10 MiB.
+        import tracemalloc
+
+        monkeypatch.setenv("PHASELAB_THREADS", "2")
+        tracemalloc.start()
+        try:
+            for block in parallel_blocks(lambda b, size: np.full(1 << 17, float(b)), 10, 1):
+                assert block[0] >= 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (1 << 20) + (1 << 18)
+
     def test_thread_count_positive(self):
         assert thread_count() >= 1
 
