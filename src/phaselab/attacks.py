@@ -116,6 +116,10 @@ def hadamard_attack_report(
     sample mean/variance of the X statistic across the draws.  The families
     are one draw from rng.child(0), the game's trials read rng.child(1).
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if K < 1:
+        raise ValueError("K must be >= 1")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if trials < 0:

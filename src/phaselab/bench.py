@@ -19,12 +19,14 @@ from .decomposition import rescaling_diagonals, truncate_values, width
 from .game import (
     AdversarySpec,
     advantage_given_f,
+    check_bruteforce_size,
     max_advantage_bruteforce,
     random_family,
     sign_rows,
 )
 from .numerics import (
     RngStream,
+    check_isometry,
     operator_norm,
     parallel_blocks,
     random_isometry,
@@ -106,6 +108,8 @@ def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailR
     if samples < 100:
         raise ValueError("need at least 100 samples")
     C = [np.asarray(c, dtype=np.complex128) for c in coefficients]
+    if not C:
+        raise ValueError("need at least one coefficient matrix")
     shape = C[0].shape
     if any(c.shape != shape for c in C):
         raise ValueError("coefficient matrices must share one shape")
@@ -244,9 +248,9 @@ def width_tail_bench(V, K: int, samples: int, rng: RngStream) -> TailReport:
 
     The constant in the theorem is existential; WIDTH_C_TEST stands in for it.
     Thresholds are the excesses t of WIDTH_THRESHOLDS, events {width >= 1 + t}.
-    Each block of families is one stacked `width` call, so V is checked once per block.
+    V is checked at entry, before any draw, and once more per block by its stacked `width` call.
     """
-    M, N = np.shape(V)
+    M, N = check_isometry(V).shape
     widths = _over_families(lambda stack: width(V, stack), K, N, samples, rng)
     excess = widths - 1.0
     bounds = [
@@ -264,7 +268,7 @@ def advantage_tail_bench(
 
     fixed-f mode measures Pr[gap(R | f) >= eps] against 2 exp(-c eps^2 K N)
     at the all-ones oracle f (no-query regime: f is pinned in advance).  max-f
-    mode brute-forces the maximum over oracle functions (M <= 12) and
+    mode brute-forces the maximum over oracle functions (M up to BRUTEFORCE_CUTOFF) and
     measures the tail of the excess over the sample mean against
     4 exp(-c eps^2 K N).  ADVANTAGE_C_TEST replaces the existential constant c.
     Each block of families is one stacked call in either mode.
@@ -274,8 +278,7 @@ def advantage_tail_bench(
         fv = np.ones(adv.M)
         value, scale = (lambda stack: advantage_given_f(adv, stack, fv)), 2.0
     elif mode == "max-f":
-        if adv.M > 12:
-            raise ValueError("max-f mode brute-forces oracle functions; M <= 12")
+        check_bruteforce_size(adv.M)
         value, scale = (lambda stack: max_advantage_bruteforce(adv, stack)[0]), 4.0
     else:
         raise ValueError(f"unknown mode {mode!r}")

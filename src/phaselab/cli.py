@@ -292,7 +292,7 @@ COMMANDS = {
     "compress": Command(
         "compression-verify", "verify one-query space reduction",
         {"D": 4, "L": 8, "S": 4, "trials": 50},
-        lambda p: (p["L"] * p["S"], p["D"]), _compress,
+        lambda p: (p["L"] * max(p["S"], p["D"]), p["D"]), _compress,
     ),
 }
 

@@ -68,9 +68,7 @@ def width(V, R):
     A stack of families gives an array of shape (...), one width per family,
     through one `rescaling_diagonals` call, so V is checked once for the whole stack.
     """
-    D, mask = rescaling_diagonals(V, R)
-    if mask.all():
-        raise ValueError("isometry has no rows with nonzero weight")
+    D, mask = rescaling_diagonals(V, R)  # weights sum to 1, so some row is unmasked
     widths = np.max(np.mean(np.abs(D) ** 2, axis=-2)[..., ~mask], axis=-1)
     return float(widths) if D.ndim == 2 else widths
 

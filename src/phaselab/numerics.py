@@ -107,22 +107,21 @@ def random_sign_array(g: np.random.Generator, shape) -> np.ndarray:
 
 
 def thread_count() -> int:
-    """Worker count for trial-level parallelism (env-configurable, default 1)."""
+    """Worker count for trial-level parallelism: PHASELAB_THREADS, a positive integer, default 1."""
     raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> Iterator:
     """Iterate fn(b, size) over blocks of `block` items covering `total`, the last shorter.
 
-    Blocks run in parallel if configured; a block that draws takes rng.child(b) of its
-    routine's stream rng (see RngStream).  Results come lazily and in block order, so any
-    reduction over them is the same for every worker count: one worker runs block b when
-    it is read, w hold at most w blocks, running or unread.  A caller needing a sequence lists them.
+    Blocks run on thread_count() workers, at most one per CPU and one per block; a block
+    that draws takes rng.child(b) of its routine's stream rng (see RngStream).  Results
+    come lazily and in block order, so any reduction over them is the same for every
+    worker count: one worker runs block b when it is read, w hold at most w blocks,
+    running or unread.  A caller needing a sequence lists them.
     """
     n_blocks = max(0, -(-total // block))
 
@@ -139,6 +138,8 @@ def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> Iterator:
                 yield pending.popleft().result()
 
     workers = min(thread_count(), n_blocks)
+    if workers > 1:  # os.cpu_count() is a system call: made only when threads are asked for
+        workers = min(workers, os.cpu_count() or 1)
     return map(run, range(n_blocks)) if workers <= 1 else window()
 
 

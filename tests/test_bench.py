@@ -16,9 +16,10 @@ from phaselab.bench import (
     width_tail_bench,
 )
 from phaselab.decomposition import rescaling_diagonals, truncate_values, width
-from phaselab.game import AdversarySpec, random_family
+from phaselab.game import BRUTEFORCE_CUTOFF, AdversarySpec, random_family
 from phaselab.numerics import (
     SAMPLE_BLOCK,
+    CapacityError,
     RngStream,
     operator_norm,
     random_isometry,
@@ -247,7 +248,7 @@ class TestWidthTail:
         V = random_isometry(8, 24, RngStream(24))
         rep = width_tail_bench(V, K=8, samples=200, rng=RngStream(25))
         blocks = -(-200 // SAMPLE_BLOCK)
-        assert 1 <= len(calls) <= blocks
+        assert len(calls) == 1 + blocks  # at entry, before any draw, then by each block's width
         # The stacked widths equal the per-family widths bit for bit.
         families = [
             random_family(min(SAMPLE_BLOCK, 200 - b * SAMPLE_BLOCK) * 8, 8, RngStream(25).child(b))
@@ -276,14 +277,25 @@ class TestAdvantageTail:
         )
         assert rep.passed
 
-    def test_max_f_rejects_large_m(self):
-        rng = RngStream(23)
-        adv = AdversarySpec(
-            V=random_isometry(6, 14, rng.child(0)),
-            Pi=random_projector(14, 7, rng.child(1)),
+    def _wide_adv(self, M, seed):
+        rng = RngStream(seed)
+        return AdversarySpec(
+            V=random_isometry(6, M, rng.child(0)), Pi=random_projector(M, M // 2, rng.child(1))
         )
-        with pytest.raises(ValueError):
-            advantage_tail_bench(adv, K=8, samples=32, rng=rng.child(2), mode="max-f")
+
+    def test_max_f_runs_up_to_the_exact_search_cutoff(self):
+        adv = self._wide_adv(14, 23)
+        rep = advantage_tail_bench(adv, K=8, samples=32, rng=RngStream(24), mode="max-f")
+        assert rep.samples == 32
+        assert rep.extras["mode"] == "max-f"
+
+    def test_max_f_refuses_past_the_cutoff_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(bench, "random_family", lambda *a: drawn.append(a))
+        adv = self._wide_adv(BRUTEFORCE_CUTOFF + 1, 25)
+        with pytest.raises(CapacityError, match=f"cutoff M = {BRUTEFORCE_CUTOFF}"):
+            advantage_tail_bench(adv, K=8, samples=32, rng=RngStream(26), mode="max-f")
+        assert drawn == []
 
 
 class TestDefaultSuite:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -475,7 +476,7 @@ class TestMain:
             (["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "nan"], "B must be finite"),
             (["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "inf"], "B must be finite"),
             (["attack", "--n", "2", "--K", "2", "--draws", "3", "--trials", "-1"], "trials must be >= 0"),
-            (["relax", "--B", "1", "--samples", "2005"], "positive multiple of 10"),
+            (["relax", "--B", "1", "--samples", "1"], "samples must be >= 2"),
         ],
     )
     def test_non_finite_bound_and_negative_trials_are_invalid_input(self, argv, message, capsys):
@@ -483,6 +484,38 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("invalid input:") and message in captured.err
+        assert captured.out == ""
+
+    def test_truncated_relaxation_takes_any_sample_count(self):
+        argv = ["relax", "--N", "4", "--M", "8", "--K", "2", "--B", "1", "--samples", "2005"]
+        code, record = _main_io(argv)
+        assert code == 0
+        assert record["values"]["truncated_spectral_error"] >= 0.0
+
+    def test_compress_budget_bounds_the_measurement_operators(self, monkeypatch, capsys):
+        # L*S = 8 fits a budget of 16, but compress_isometry builds L operators of
+        # D x D and an (L*D) x D isometry: the budget entry is (L * max(S, D), D).
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 16)
+        drawn = []
+        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
+        code = main(["compress", "--D", "8", "--L", "4", "--S", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "budget 16" in captured.err
+        assert captured.out == ""
+        assert drawn == []
+
+    def test_numerical_failure_exits_four(self, monkeypatch, capsys):
+        def fail(p, rng, instance):
+            raise ArithmeticError("eigensolver did not converge")
+
+        failing = dataclasses.replace(cli.COMMANDS["game"], runner=fail)
+        monkeypatch.setitem(cli.COMMANDS, "game", failing)
+        code = main(["game"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("numerical failure:")
+        assert "did not converge" in captured.err
         assert captured.out == ""
 
     def test_greedy_conjecture_without_restarts_is_invalid_input(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselab import numerics
 from phaselab.numerics import (
     NORM_MAX_DIM,
     CapacityError,
@@ -114,6 +115,30 @@ class TestParallelBlocks:
 
     def test_thread_count_positive(self):
         assert thread_count() >= 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
+    def test_thread_count_refuses_a_non_positive_integer(self, raw, monkeypatch):
+        monkeypatch.setenv("PHASELAB_THREADS", raw)
+        with pytest.raises(ValueError, match="PHASELAB_THREADS must be a positive integer"):
+            thread_count()
+
+    def test_workers_capped_at_the_cpu_count(self, monkeypatch):
+        # The pool is built on the first read; the stand-in records its size and starts nothing.
+        sizes = []
+
+        class NoPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                raise RuntimeError("no threads in this test")
+
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("PHASELAB_THREADS", "5000")
+        with pytest.raises(RuntimeError, match="no threads"):
+            next(parallel_blocks(lambda b, size: size, 100, 1))
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: None)
+        assert list(parallel_blocks(lambda b, size: size, 3, 1)) == [1, 1, 1]  # one worker, no pool
+        assert sizes == [3]
 
 
 class TestOperatorNorm:

@@ -150,14 +150,14 @@ class TestZeroWeightRow:
         rng = RngStream(55)
         DB = truncate_values(self._diagonals(adv, R), self.B)
         all_h = self._term(adv, self._diagonals(adv, _all_sign_rows(self.N)))
-        # The same draws as the relaxation: 10 batches of 50 sign functions.
+        # The same draws as the relaxation: blocks of 256, 256 and 88 sign functions.
         correction = np.zeros((self.M, self.M), dtype=np.complex128)
-        for b in range(10):
-            Dh = self._diagonals(adv, random_sign_array(rng.child(b).generator(), (50, self.N)))
+        for b, size in enumerate((256, 256, 88)):
+            Dh = self._diagonals(adv, random_sign_array(rng.child(b).generator(), (size, self.N)))
             DhB = truncate_values(Dh, self.B)
-            correction += self._term(adv, DhB) - self._term(adv, Dh)
-        want = operator_norm(self._term(adv, DB) - all_h - correction / 10)
-        val, _ = truncated_spectral_relaxation(adv, R, self.B, samples=500, rng=rng)
+            correction += (self._term(adv, DhB) - self._term(adv, Dh)) * size
+        want = operator_norm(self._term(adv, DB) - all_h - correction / 600)
+        val, _ = truncated_spectral_relaxation(adv, R, self.B, samples=600, rng=rng)
         assert val == pytest.approx(want, abs=1e-12)
         assert val != pytest.approx(spectral_relaxation(adv, R), abs=1e-6)
 
@@ -272,29 +272,52 @@ class TestTruncatedRelaxation:
 
     @pytest.mark.parametrize("M", [12, 160])  # numpy reuses temporaries only above 256 KiB
     def test_streamed_batches_sum_as_a_list(self, M):
-        # Reference: every batch gain held in a list, summed by halves, combined as one
-        # expression; the streamed batches give the same value and error bit for bit.
+        # Reference: every block gain held in a list, summed by halves, combined as one
+        # expression; the streamed blocks give the same value and error bit for bit.  700
+        # samples are blocks of 256, 256 and 188: halves of n1 = 256 and n2 = 444.
         adv = _random_adversary(M // 2, M, M // 2, 22)
-        R, B, samples, rng = random_family(5, M // 2, RngStream(23)), 1.2, 400, RngStream(24)
+        R, B, samples, rng = random_family(5, M // 2, RngStream(23)), 1.2, 700, RngStream(24)
 
-        def batch_gain(b):
-            H = random_sign_array(rng.child(b).generator(), (40, adv.N))
+        def block_gain(b, size):
+            H = random_sign_array(rng.child(b).generator(), (size, adv.N))
             return relaxations._clip_gain(rescaling_diagonals(adv, H)[0], B)
 
-        gains = [batch_gain(b) for b in range(relaxations.TRUNCATED_BATCHES)]
-        first, second = sum(gains[:5]), sum(gains[5:])
+        gains = [block_gain(b, size) for b, size in enumerate((256, 256, 188))]
+        first, second = sum(gains[:1]), sum(gains[1:])
         plain = relaxations._weight_basis(adv, advantage_kernel(adv, R))
         D = rescaling_diagonals(adv, R)[0]
         gain = relaxations._clip_gain(D, B) / len(D) - (first + second) / samples
         value = operator_norm(plain + adv.Pi * relaxations._hermitian_part(gain))
-        error = operator_norm(adv.Pi * relaxations._hermitian_part(first - second) / samples)
+        diff = first * (444 / 256) - second
+        error = operator_norm(adv.Pi * relaxations._hermitian_part(diff) / (2 * 444))
         assert error > 0.0
         assert truncated_spectral_relaxation(adv, R, B, samples, rng=rng) == (value, error)
 
+    @pytest.mark.parametrize(
+        "samples, sizes",
+        [(2, (1, 1)), (5, (3, 2)), (400, (200, 200)), (2005, (256,) * 7 + (213,))],
+        ids=str,
+    )
+    def test_error_is_half_the_half_means_gap(self, samples, sizes):
+        # Any count of at least 2 is accepted, in blocks of min(256, ceil(samples / 2)); the error
+        # is ||Pi o H(mean over the first floor(blocks / 2) blocks - mean over the rest)|| / 2.
+        adv = _random_adversary(4, 8, 4, 28)
+        R, B, rng = random_family(3, 4, RngStream(29)), 1.0, RngStream(30)
+        draws = [
+            random_sign_array(rng.child(b).generator(), (size, 4)) for b, size in enumerate(sizes)
+        ]
+        sums = [relaxations._clip_gain(rescaling_diagonals(adv, H)[0], B) for H in draws]
+        half = len(sizes) // 2
+        n1, n2 = sum(sizes[:half]), sum(sizes[half:])
+        gap = sum(sums[:half]) / n1 - sum(sums[half:]) / n2
+        want = operator_norm(adv.Pi * relaxations._hermitian_part(gap)) / 2
+        _, error = truncated_spectral_relaxation(adv, R, B, samples, rng=rng)
+        assert error == pytest.approx(want, rel=1e-12)
+
     def test_at_most_four_kernels_alive(self):
-        # M = 256: each M x M complex matrix is 1 MiB; the ten batch gains are never held
-        # at once (18 MiB was the peak with them).  The allowance of 1/4 MiB covers numpy's
-        # iteration buffers and the K x M and N x M arrays.
+        # M = 256: each M x M complex matrix is 1 MiB; the two block gains are never held
+        # at once.  The allowance of 1/4 MiB covers numpy's iteration buffers and the
+        # K x M and N x M arrays.
         import tracemalloc
 
         M = 256
@@ -308,11 +331,27 @@ class TestTruncatedRelaxation:
             tracemalloc.stop()
         assert peak <= 4 * 16 * M * M + (1 << 18)
 
-    @pytest.mark.parametrize("samples", [0, -10, 5, 2005])
-    def test_samples_off_the_batches_refused(self, samples):
+    def test_memory_flat_in_the_sample_count(self):
+        # 20,000 samples at M = 256 run as 79 blocks of at most 256 sign functions, so the
+        # peak is that of a few blocks, whatever the sample count.
+        import tracemalloc
+
+        M = 256
+        adv = _random_adversary(64, M, M // 2, 31)
+        R = random_family(16, 64, RngStream(32))
+        tracemalloc.start()
+        try:
+            truncated_spectral_relaxation(adv, R, 1.0, 20_000, rng=RngStream(33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * M * M
+
+    @pytest.mark.parametrize("samples", [1, 0, -10])
+    def test_fewer_than_two_samples_refused(self, samples):
         adv = _random_adversary(4, 8, 4, 19)
         R = random_family(3, 4, RngStream(20))
-        with pytest.raises(ValueError, match="positive multiple of 10"):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
             truncated_spectral_relaxation(adv, R, 1.5, samples, rng=RngStream(21))
 
 
