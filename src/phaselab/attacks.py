@@ -39,10 +39,10 @@ BV_DIMENSION_CAP = 1 << 16
 @dataclass(frozen=True)
 class HadamardAttackReport:
     exact_advantage: float
-    monte_carlo_advantage: float
+    monte_carlo_advantage: float | None  # None with no trials
     trials: int
     x_statistic_mean: float
-    x_statistic_variance: float
+    x_statistic_variance: float | None  # None with one draw
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -112,9 +112,10 @@ def hadamard_attack_report(
     """Aggregate Hadamard-attack statistics over fresh random families.
 
     Reports the mean exact (TV) advantage over `draws` families of shape
-    K x 2^n, a Monte Carlo game cross-check on the first family, and the
-    sample mean/variance of the X statistic across the draws.  The families
-    are one draw from rng.child(0), the game's trials read rng.child(1).
+    K x 2^n, a Monte Carlo game cross-check on the first family (None with no
+    trials), and the sample mean/variance of the X statistic across the draws
+    (the variance None with one draw).  The families are one draw from
+    rng.child(0), the game's trials read rng.child(1).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -129,7 +130,7 @@ def hadamard_attack_report(
     R = random_family(draws * K, 1 << n, rng.child(0)).reshape(draws, K, 1 << n)
     # Rebinding R frees the stack, so it is not alive while the game runs.
     exacts, xs, R = hadamard_attack_exact_advantage(R), x_statistic(R), R[0].copy()
-    mc = 0.0
+    mc = None
     if trials > 0:
         adv, f = hadamard_game_encoding(R)
         mc = 2.0 * simulate_game(adv, R, f, trials, rng.child(1)) - 1.0
@@ -138,7 +139,7 @@ def hadamard_attack_report(
         monte_carlo_advantage=mc,
         trials=trials,
         x_statistic_mean=float(xs.mean()),
-        x_statistic_variance=float(xs.var(ddof=1)) if draws > 1 else 0.0,
+        x_statistic_variance=float(xs.var(ddof=1)) if draws > 1 else None,
     )
 
 

@@ -3,7 +3,8 @@
 Instances (adversaries, function families) round-trip through a JSON format
 with parallel real/imaginary flat arrays in row-major order; families are
 flat +-1 integer arrays.  Every run emits one self-describing JSON record per
-line: config echo, measured values, wall time, version, RNG fingerprint.
+line: config echo, measured values, wall time, version, RNG fingerprint and
+environment (Python, numpy and its BLAS, PHASELAB_THREADS, CPU count).
 Identical configs byte-reproduce all measured values regardless of the
 thread count in PHASELAB_THREADS.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from collections.abc import Callable
@@ -31,7 +34,8 @@ from .game import (
     random_family,
     simulate_game,
 )
-from .numerics import CapacityError, RngStream, check_norm_budget, random_isometry, random_projector
+from .numerics import THREADS_ENV, CapacityError, RngStream, check_norm_budget
+from .numerics import random_isometry, random_projector
 from .relaxations import (
     decoupled_spectral_relaxation,
     spectral_relaxation,
@@ -308,6 +312,20 @@ def _argument(spec) -> dict:
     return {"type": type(spec), "default": spec}
 
 
+def _environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        THREADS_ENV: os.environ.get(THREADS_ENV),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run(config: ExperimentConfig) -> dict:
     """Run a config through its COMMANDS entry and return the result record.
 
@@ -347,6 +365,7 @@ def run(config: ExperimentConfig) -> dict:
         "wall_time_s": time.perf_counter() - start,
         "version": __version__,
         "rng_fingerprint": rng.fingerprint(),
+        "env": _environment(),
     }
     if config.out:
         with open(config.out, "a") as fh:

@@ -139,6 +139,15 @@ class AdversarySpec:
     def M(self) -> int:
         return self.V.shape[0]
 
+    def pi_entrywise(self, C: np.ndarray) -> np.ndarray:
+        """Pi * C entrywise for an M x M kernel C or a stack of them, written into C.
+
+        The factor order sets a complex product's rounding (fused multiply-adds).  numpy
+        computes `Pi * C` for a temporary C of 256 KiB or more as `C *= Pi`, so C comes
+        first from M = 128, Pi below; each matrix of a stack is rounded as it alone is.
+        """
+        return np.multiply(*((C, self.Pi) if self.M >= 128 else (self.Pi, C)), out=C)
+
 
 def check_families(R) -> np.ndarray:
     """Validate and return one K x N family or a stack of them, shape (..., K, N).
@@ -239,11 +248,14 @@ def advantage_kernel(adv: AdversarySpec, R) -> np.ndarray:
     families (..., K, N) gives a stack of kernels (..., M, M).
     """
     U = family_images(adv.V, R)  # K x M, row k = V|psi_k>
-    outer = (np.swapaxes(U.conj(), -1, -2) @ U) / U.shape[-2]  # E_k conj(u_i) u_j at (i, j)
+    outer = np.swapaxes(U.conj(), -1, -2) @ U
+    outer /= U.shape[-2]  # E_k conj(u_i) u_j at (i, j)
     gram = adv.V @ adv.V.conj().T
     np.conjugate(gram, out=gram)
     gram /= adv.N
-    return adv.Pi * (outer - gram)  # as written: `outer *= Pi` rounds otherwise at small M
+    outer -= gram
+    del gram
+    return adv.pi_entrywise(outer)
 
 
 def kernel_quadratic_form(B: np.ndarray, f) -> float:

@@ -134,7 +134,9 @@ def decoupled_kernel(adv: AdversarySpec, R, Rp) -> np.ndarray:
     U, Up = family_images(adv.V, R), family_images(adv.V, Rp)
     if U.shape != Up.shape:
         raise ValueError(f"family shapes differ: {U.shape[:-1]} vs {Up.shape[:-1]}")
-    return adv.Pi * (np.swapaxes(U.conj(), -1, -2) @ Up) / U.shape[-2]
+    C = adv.pi_entrywise(np.swapaxes(U.conj(), -1, -2) @ Up)
+    C /= U.shape[-2]
+    return C
 
 
 def decoupled_advantage_given_f(adv: AdversarySpec, R, Rp, f) -> float:

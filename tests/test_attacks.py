@@ -198,7 +198,11 @@ class TestAttackReport:
         with pytest.raises(CapacityError):
             hadamard_attack_report(3, 4, draws=2, trials=10, rng=RngStream(9))
         rep = hadamard_attack_report(3, 4, draws=2, trials=0, rng=RngStream(9))
-        assert rep.monte_carlo_advantage == 0.0
+        assert rep.monte_carlo_advantage is None
+
+    def test_one_draw_has_no_variance(self):
+        rep = hadamard_attack_report(3, 4, draws=1, trials=10, rng=RngStream(9))
+        assert rep.x_statistic_variance is None and isinstance(rep.monte_carlo_advantage, float)
 
 
 class TestOmniscient:

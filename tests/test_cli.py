@@ -126,7 +126,10 @@ class TestRun:
             "wall_time_s",
             "version",
             "rng_fingerprint",
+            "env",
         }
+        assert set(record["env"]) == {"python", "numpy", "blas", "PHASELAB_THREADS", "cpu_count"}
+        assert record["env"]["numpy"] == np.__version__
         assert record["values"]["method"] == "bruteforce"
         assert 0.0 <= record["values"]["max_advantage"] <= 1.0
         lines = out.read_text().strip().splitlines()
@@ -370,7 +373,16 @@ class TestMain:
         if trials < 0:
             assert code == 2
         if code == 0 and trials == 0:
-            assert record["values"]["monte_carlo_advantage"] == 0.0
+            assert record["values"]["monte_carlo_advantage"] is None
+        if code == 0 and draws == 1:
+            assert record["values"]["x_statistic_variance"] is None
+
+    def test_unmeasured_attack_values_print_null(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["attack", "--n", "2", "--K", "2", "--draws", "1", "--trials", "0"]) == 0
+        assert '"monte_carlo_advantage": null' in out.getvalue()
+        assert '"x_statistic_variance": null' in out.getvalue()
 
     @given(
         st.integers(min_value=0, max_value=6),

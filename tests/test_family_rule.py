@@ -90,6 +90,18 @@ def test_decoupled_families_must_share_a_shape():
         decoupled_kernel(ADV, _stack((2,), 4, 4), _stack((3,), 4, 5))
 
 
+@pytest.mark.parametrize("kernel", [advantage_kernel, decoupled_kernel])
+def test_a_stack_of_kernels_from_m_128_gives_its_single_calls_bit_for_bit(kernel):
+    # From M = 128 a single kernel is 256 KiB, the size at which numpy would compute a
+    # temporary Pi * C in place as C * Pi, rounding otherwise than for a stack.
+    adv = AdversarySpec(V=random_isometry(8, 128, RngStream(6)), Pi=random_projector(128, 64, RngStream(7)))
+    R = random_family(3 * 4, 8, RngStream(8)).reshape(3, 4, 8)
+    args = (R, R[::-1].copy()) if kernel is decoupled_kernel else (R,)
+    got = kernel(adv, *args)
+    for i in range(3):
+        assert got[i].tobytes() == kernel(adv, *(r[i] for r in args)).tobytes()
+
+
 TABLE = "expected a K x N sign table, got shape (2, 3, 4, 4)"
 REFUSED = {
     "truncated_spectral_relaxation": (

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from phaselab import numerics
 from phaselab.numerics import (
+    HERMITIAN_BLOCK,
     NORM_MAX_DIM,
     CapacityError,
     RngStream,
@@ -311,6 +313,23 @@ class TestStackedOperatorNorm:
                 operator_norm(bad)
 
 
+class TestLowerBlockGram:
+    """The Gram route forms A^H A or A A^H on its lower block triangle: eigvalsh reads no more."""
+
+    @pytest.mark.parametrize("shape", [(300, 300), (600, 200), (200, 600), (3, 300, 300)])
+    def test_matches_dense_two_norm_and_single_calls(self, shape, monkeypatch):
+        g = RngStream(14).generator()
+        a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        seen = TestOperatorNorm._eigvalsh_inputs(monkeypatch)
+        got = np.atleast_1d(operator_norm(a))
+        gram = seen[0]
+        assert gram.shape[-1] == min(shape[-2:]) > HERMITIAN_BLOCK
+        assert not gram[..., :HERMITIAN_BLOCK, HERMITIAN_BLOCK:].any()  # zeros above the first block
+        for m, value in zip(a.reshape(-1, *shape[-2:]), got):
+            assert value == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+            assert value == operator_norm(m)
+
+
 class TestRandomOperators:
     def test_isometry_columns_orthonormal(self):
         V = random_isometry(6, 10, RngStream(4))
@@ -407,6 +426,50 @@ class TestValidators:
     def test_projector_rejects_nonidempotent(self):
         with pytest.raises(ValueError):
             check_projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("dim", [127, 128, 129, 300])
+    def test_random_projectors_and_isometries_are_accepted(self, dim):
+        P = random_projector(dim, dim // 2, RngStream(dim))
+        np.testing.assert_array_equal(check_projector(P), P)
+        check_isometry(random_isometry(dim, dim + 3, RngStream(dim)))
+
+    @staticmethod
+    def _residual_blocks(monkeypatch):
+        seen, residual = [], numerics._lower_residual
+        monkeypatch.setattr(numerics, "_lower_residual", lambda x, y, c: seen.append(c.shape) or residual(x, y, c))
+        return seen
+
+    def test_hermitian_defect_in_the_last_row_block_is_rejected(self, monkeypatch):
+        P = random_projector(300, 150, RngStream(15))
+        P[299, 10] += 1e-6
+        P[10, 299] += 1e-6  # still equal to its conjugate transpose bit for bit
+        seen = self._residual_blocks(monkeypatch)
+        with pytest.raises(ValueError, match="hermiticity residual 0.000e[+]00, idempotence residual [1-9]"):
+            check_projector(P)
+        assert seen == [(300, 300), (128, 128), (128, 256), (44, 300)]  # the lower block triangle
+
+    def test_nearly_hermitian_matrix_takes_the_full_product(self, monkeypatch):
+        P = random_projector(300, 150, RngStream(16))
+        P[200, 3] += 1e-12
+        seen = self._residual_blocks(monkeypatch)
+        check_projector(P)
+        assert seen == []
+
+    def test_projector_check_holds_no_square_temporary(self):
+        P = random_projector(512, 256, RngStream(17))
+        tracemalloc.start()
+        try:
+            check_projector(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P.nbytes  # one 512 x 512 complex matrix, 4 MiB
+
+    def test_isometry_defect_below_the_first_block_is_rejected(self):
+        V = random_isometry(300, 400, RngStream(18))
+        V[:, 250] += 1e-6 * V[:, 10]
+        with pytest.raises(ValueError, match="not an isometry"):
+            check_isometry(V)
 
     def test_capacity_error_is_value_error(self):
         assert issubclass(CapacityError, ValueError)
