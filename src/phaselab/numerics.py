@@ -12,7 +12,9 @@ matrix through the smaller of its two Gram matrices.  A stack of matrices,
 shape (..., r, c), takes one batched eigensolve per route for the whole stack.
 That Gram matrix, and the P P and V^H V of the projector and isometry checks,
 are Hermitian: each is formed only on its lower block triangle, which is all
-eigvalsh reads, at about half the work of the whole product.
+eigvalsh reads, at about half the work of the whole product.  The route test
+and the Gram matrix work on blocks of rows and columns, so an operator norm
+makes no M x M temporary besides the Gram matrix and eigvalsh's own copy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import os
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,8 @@ def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> Iterator:
         return fn(b, min(block, total - b * block))
 
     def window():  # block b is submitted once block b - workers has been read
+        from concurrent.futures import ThreadPoolExecutor  # imported only when threads run
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque(pool.submit(run, b) for b in range(workers))
             for b in range(workers, n_blocks):
@@ -187,17 +190,19 @@ def _route_norms(a: np.ndarray, hermitian: bool) -> np.ndarray:
 
     The Gram matrix, A^H A or A A^H, is formed on its lower block triangle with zeros
     above: eigvalsh reads only the lower triangle, so its eigenvalues are the same.
+    Each block conjugates one column slab of A (of A^T for A A^H), so besides the
+    Gram matrix and eigvalsh's own copy no M x M temporary is made.
     """
     if hermitian:
         w = np.linalg.eigvalsh(a)
         return np.maximum(w[..., -1], -w[..., 0]) + 0.0  # a zero matrix gives max(0, -0) = -0.0
-    ah = np.swapaxes(a.conj(), -1, -2)
-    x, y = (ah, a) if a.shape[-2] >= a.shape[-1] else (a, ah)
-    n = x.shape[-2]
-    gram = np.zeros(x.shape[:-1] + (n,), dtype=np.complex128)
-    for lo, hi in _lower_blocks(n):
-        np.matmul(x[..., lo:hi, :], y[..., :, :hi], out=gram[..., lo:hi, :hi])
-    del ah, x, y  # not alive through the eigensolve
+    b = a if a.shape[-2] >= a.shape[-1] else np.swapaxes(a, -1, -2)  # B^H B = A^H A or conj(A A^H)
+    n = b.shape[-1]
+    gram = np.zeros(b.shape[:-2] + (n, n), dtype=np.complex128)
+    for lo, hi in _lower_blocks(n):  # B[:, lo:hi]^H B[:, :hi], one conjugated column slab at a time
+        np.matmul(np.swapaxes(b[..., lo:hi].conj(), -1, -2), b[..., :hi], out=gram[..., lo:hi, :hi])
+    if b is not a:  # conj(X) conj(Y) = conj(X Y), as negation rounds exactly (a zero's sign aside)
+        np.conjugate(gram, out=gram)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
@@ -213,10 +218,12 @@ def operator_norm(m):
     """
     check_norm_budget(np.shape(m))
     a = _as_matrix(m, stack=True)
-    herm = np.zeros(a.shape[:-2], dtype=bool)
-    if a.shape[-1] == a.shape[-2]:
-        t = np.swapaxes(a, -1, -2)  # a == a^H by parts, with no conjugated copy of a
-        herm = ((a.real == t.real) & (a.imag == -t.imag)).all(axis=(-2, -1))
+    herm = np.full(a.shape[:-2], a.shape[-1] == a.shape[-2])
+    for lo, hi in _lower_blocks(a.shape[-1]):  # a == a^H by parts on the lower block triangle
+        if not herm.any():
+            break
+        x, t = a[..., :hi, lo:hi], np.swapaxes(a[..., lo:hi, :hi], -1, -2)
+        herm &= ((x.real == t.real) & (x.imag == -t.imag)).all(axis=(-2, -1))
     count = np.count_nonzero(herm)
     if 0 < count < herm.size:  # a mixed stack: each route on its own copy
         out = np.empty(herm.shape)

@@ -117,11 +117,11 @@ def truncated_spectral_relaxation(
     first *= (samples - n1) / n1  # scaled to the second half's count
     first -= second
     del second
-    error = operator_norm(adv.Pi * _hermitian_part(first) / (2 * (samples - n1)))
+    error = operator_norm(adv.pi_entrywise(_hermitian_part(first)) / (2 * (samples - n1)))
     del first
     gain = _clip_gain(D, B) / len(D) - gain  # the family's gain less the all-h gain
     plain = _weight_basis(adv, advantage_kernel(adv, R))
-    return operator_norm(plain + adv.Pi * _hermitian_part(gain)), error
+    return operator_norm(plain + adv.pi_entrywise(_hermitian_part(gain))), error
 
 
 def decoupled_spectral_relaxation(adv: AdversarySpec, R, Rp):

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import phaselab
@@ -61,6 +63,15 @@ def test_every_public_def_is_in_all_and_every_listed_name_exists():
         name = "phaselab" if path.stem == "__init__" else f"phaselab.{path.stem}"
         module = importlib.import_module(name)
         assert [n for n in listed if not hasattr(module, n)] == [], path.name
+
+
+def test_import_loads_no_thread_pool():
+    """concurrent.futures (and the logging it pulls in) is imported only when threads run."""
+    probe = "import sys, phaselab.cli; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=SRC.parent, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_no_public_rng_parameter_has_a_default():

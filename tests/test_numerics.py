@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -133,7 +134,7 @@ class TestParallelBlocks:
                 sizes.append(max_workers)
                 raise RuntimeError("no threads in this test")
 
-        monkeypatch.setattr(numerics, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         monkeypatch.setattr(numerics.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("PHASELAB_THREADS", "5000")
         with pytest.raises(RuntimeError, match="no threads"):
@@ -328,6 +329,64 @@ class TestLowerBlockGram:
         for m, value in zip(a.reshape(-1, *shape[-2:]), got):
             assert value == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
             assert value == operator_norm(m)
+
+    def test_gram_route_holds_no_conjugate_copy(self):
+        a = RngStream(19).generator().standard_normal((512, 512)) * (1 + 1j)
+        tracemalloc.start()
+        try:
+            operator_norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.nbytes  # the Gram matrix and one column slab; A^H too made 2x
+
+
+class TestBlockwiseHermitianTest:
+    """operator_norm tests a == a^H block by block on the lower block triangle."""
+
+    @staticmethod
+    def _hermitian(shape, seed=20):
+        g = RngStream(seed).generator()
+        a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        return a + np.swapaxes(a.conj(), -1, -2)
+
+    def test_defect_in_the_last_row_block_takes_the_gram_route(self, monkeypatch):
+        a = self._hermitian((300, 300))
+        a[299, 10] += 1e-14
+        seen = TestOperatorNorm._eigvalsh_inputs(monkeypatch)
+        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+        assert len(seen) == 1 and seen[0] is not a
+
+    def test_mixed_stack_gives_each_matrix_its_single_call(self, monkeypatch):
+        herm = self._hermitian((3, 300, 300))
+        mixed = herm.copy()
+        mixed[1, 299, 10] += 1e-14  # Hermitian in every block but the last
+        mixed[2, 5, 0] += 1e-14
+        seen = TestOperatorNorm._eigvalsh_inputs(monkeypatch)
+        operator_norm(herm)
+        assert len(seen) == 1 and seen[0] is herm  # no copy of an all-Hermitian stack
+        seen.clear()
+        got = operator_norm(mixed)
+        assert [x.shape for x in seen] == [(1, 300, 300), (2, 300, 300)]
+        np.testing.assert_array_equal(got, [operator_norm(m) for m in mixed])
+
+    def test_negative_zero_imaginary_diagonal_is_hermitian(self, monkeypatch):
+        a = self._hermitian((200, 200))
+        a.imag[np.diag_indices(200)] = -0.0  # a^H has +0.0 there
+        assert np.signbit(a.diagonal().imag).all()
+        seen = TestOperatorNorm._eigvalsh_inputs(monkeypatch)
+        operator_norm(a)
+        assert len(seen) == 1 and seen[0] is a
+
+    def test_hermitian_route_holds_no_square_temporary(self):
+        a = self._hermitian((512, 512))
+        tracemalloc.start()
+        try:
+            operator_norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a quarter of one 512 x 512 complex matrix
 
 
 class TestRandomOperators:
