@@ -18,6 +18,7 @@ from .numerics import (
     RngStream,
     STRUCTURAL_TOL,
     ZERO_WEIGHT_TOL,
+    isometry_weights,
     operator_norm,
     parallel_blocks,
     random_isometry,
@@ -41,7 +42,6 @@ from .game import (
 )
 from .decomposition import (
     is_b_bounded,
-    isometry_weights,
     rescaling_diagonals,
     truncate_values,
     width,
@@ -86,7 +86,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "__version__",
@@ -96,6 +96,7 @@ __all__ = [
     "RngStream",
     "STRUCTURAL_TOL",
     "ZERO_WEIGHT_TOL",
+    "isometry_weights",
     "operator_norm",
     "parallel_blocks",
     "random_isometry",
@@ -117,7 +118,6 @@ __all__ = [
     "simulate_game",
     # decomposition
     "is_b_bounded",
-    "isometry_weights",
     "rescaling_diagonals",
     "truncate_values",
     "width",

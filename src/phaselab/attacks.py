@@ -16,7 +16,8 @@ import numpy as np
 
 from .game import AdversarySpec, check_families, check_family, phase_state, random_family
 from .game import simulate_game
-from .numerics import CapacityError, RngStream, check_norm_budget, check_unit_vector, span_basis
+from .numerics import NORM_MAX_DIM, CapacityError, RngStream, check_norm_budget, check_unit_vector
+from .numerics import span_basis
 
 __all__ = [
     "HadamardAttackReport",
@@ -115,7 +116,8 @@ def hadamard_attack_report(
     K x 2^n, a Monte Carlo game cross-check on the first family (None with no
     trials), and the sample mean/variance of the X statistic across the draws
     (the variance None with one draw).  The families are one draw from
-    rng.child(0), the game's trials read rng.child(1).
+    rng.child(0), the game's trials read rng.child(1).  Their draws * K * 2^n signs
+    are refused above NORM_MAX_DIM^2 entries, the largest matrix operator_norm takes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -125,6 +127,12 @@ def hadamard_attack_report(
         raise ValueError("draws must be >= 1")
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    budget = NORM_MAX_DIM**2
+    if n >= budget.bit_length() or draws * K << n > budget:  # 2^n is not built past the budget
+        raise CapacityError(
+            f"{draws} draws of K = {K} signs over 2^{n} points exceed the budget of "
+            f"{budget} entries"
+        )
     if trials > 0:
         check_norm_budget((2 << n, 2 << n))  # the game encoding is a dense 2N x 2N projector
     R = random_family(draws * K, 1 << n, rng.child(0)).reshape(draws, K, 1 << n)
@@ -202,10 +210,10 @@ def bv_query_dimension(K: int, N: int) -> int:
     """
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
-    exponent = K * N
-    if (1 << exponent) > BV_DIMENSION_CAP:
+    exponent, cap = K * N, BV_DIMENSION_CAP.bit_length() - 1  # the cap is 2^cap
+    if exponent > cap:  # compared as exponents: 2^(K N) is never built
         raise CapacityError(
             f"full-learning attack needs query dimension 2^{exponent}, beyond "
-            f"the instantiable cap 2^{BV_DIMENSION_CAP.bit_length() - 1}"
+            f"the instantiable cap 2^{cap}"
         )
     return 1 << exponent

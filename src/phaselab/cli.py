@@ -271,7 +271,7 @@ COMMANDS = {
     "attack": Command(
         "attack-hadamard", "Hadamard measure-and-classify attack",
         {"n": 8, "K": 16, "draws": 200, "trials": 10_000},
-        None, _attack,  # hadamard_attack_report checks its 2^(n+1)-dim game encoding
+        None, _attack,  # hadamard_attack_report checks its draws * K * 2^n signs and game encoding
     ),
     "relax": Command(
         "relaxation", "spectral relaxations of the advantage",

@@ -18,11 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .game import AdversarySpec, family_images
-from .numerics import ZERO_WEIGHT_TOL, isometry_weights
+from .numerics import ZERO_WEIGHT_TOL, isometry_weights, rounding_allowance
 
 __all__ = [
-    "ZERO_WEIGHT_TOL",
-    "isometry_weights",
     "rescaling_diagonals",
     "truncate_values",
     "width",
@@ -74,9 +72,16 @@ def width(V, R):
 
 
 def is_b_bounded(V, R, B: float):
-    """True iff every rescaling diagonal entry of every row has magnitude <= B; per family."""
+    """True iff every rescaling diagonal entry of every row has magnitude <= B; per family.
+
+    Each computed magnitude is compared with B plus its row's rounding allowance (derived
+    in `rounding_allowance`), so an entry of exactly B counts as bounded.
+    """
     if not 0 < B < np.inf:  # also refuses nan
         raise ValueError(f"bound B must be positive and finite, got {B}")
     D, mask = rescaling_diagonals(V, R)
-    bounded = np.all(np.abs(D[..., ~mask]) <= B + 1e-12, axis=(-2, -1))
+    rows = np.abs(V.V if isinstance(V, AdversarySpec) else np.asarray(V))[~mask]
+    scale = rows.sum(axis=1) / np.sqrt(np.sum(rows**2, axis=1))  # ||v_i||_1 / ||v_i||_2 >= |D_ki|
+    allowance = rounding_allowance(3 * rows.shape[1] + 10, scale)
+    bounded = np.all(np.abs(D[..., ~mask]) <= B + allowance, axis=(-2, -1))
     return bool(bounded) if D.ndim == 2 else bounded

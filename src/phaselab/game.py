@@ -39,6 +39,7 @@ from .numerics import (
     isometry_weights,
     parallel_blocks,
     random_sign_array,
+    rounding_allowance,
 )
 
 __all__ = [
@@ -67,7 +68,6 @@ BRUTEFORCE_CUTOFF = 28
 _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran slower
 _DIRECTIONS = 8  # complex bound, 1/cos(pi/16) - 1 = 2 % loose: 4 and 16 ran slower at M = 22
 _SEED_ROWS = 32  # top-bound rows scored for the cut: 128 ran slower at M = 18-22
-_SLACK = 1e-9  # relative: covers the rounding of bound and GEMM, about 50u of the same scale
 _TRIAL_BLOCK = 8192  # trials per block, one stream each; their b = 1 rows scored in chunks
 _SCORE_ROWS = 1024  # 2 MiB of signs at N = 256; a multiple of 64, so chunks draw one draw's bits
 
@@ -276,12 +276,12 @@ def sign_rows(n: int) -> np.ndarray:
 
 
 def _row_bounds(Fa, qa, C, qb):
-    """U_a >= |q_a + w_a . b + q_b| over all b, w_a = a^T C, for each a-row; and a rounding slack.
+    """U_a >= |q_a + w_a . b + q_b| over all b, w_a = a^T C, for each a-row; and its allowance.
 
     |w_a . b| <= ||w_a||_1.  A complex value takes that bound of Re(e^(-i t) v) in
     _DIRECTIONS directions t = pi j / J, and |v| is at most their largest over
-    cos(pi / 2J).  The slack covers the rounding of U_a and of the GEMM value, whose
-    terms are at most |q_a| + sum |C| + max |q_b| each.
+    cos(pi / 2J).  The allowance covers the rounding of U_a and of the GEMM value, as
+    derived in `rounding_allowance`: every computed value of row a is at most U_a + it.
     """
     square = np.iscomplexobj(C)
     turns = np.exp(-1j * np.pi * np.arange(_DIRECTIONS) / _DIRECTIONS) if square else np.ones(1)
@@ -290,7 +290,8 @@ def _row_bounds(Fa, qa, C, qb):
     l1 = np.abs(rw, out=rw).reshape(len(turns), -1, len(Fa)).sum(1)
     U = np.maximum(ra + l1 + rb.max(1, keepdims=True), l1 - ra - rb.min(1, keepdims=True)).max(0)
     U = U / np.cos(np.pi / (2 * _DIRECTIONS)) if square else U
-    return U, _SLACK * (np.abs(qa) + np.abs(C).sum() + np.abs(qb).max())
+    scale = np.abs(qa) + np.abs(C).sum() + np.abs(qb).max()
+    return U, rounding_allowance(4 * sum(C.shape) + 28, scale)  # C is ka x (m - ka)
 
 
 def max_abs_quadratic(K: np.ndarray):
@@ -357,14 +358,15 @@ def max_abs_quadratic(K: np.ndarray):
         if per == 1:
             # Why scanning `kept` gives the full scan's (value, witness): a GEMM over two or
             # more of a block's rows gives each entry the full block's bits (numpy runs one
-            # row as gemv, with other bits, so a lone last row is doubled).  U_a + slack bounds
-            # each computed value of row a, so the cut's row is kept and every value of a
-            # skipped row lies below one the scan computes: no skipped row holds the first
-            # maximizer, and the kept rows in index order meet the same strict > and argmax.
-            U, slack = _row_bounds(Fa, qa[0], C[0], qb[0])
+            # row as gemv, with other bits, so a lone last row is doubled).  U_a + allowance
+            # bounds each computed value of row a, so the cut's row is kept and every value
+            # of a skipped row lies below one the scan computes: no skipped row holds the
+            # first maximizer, and the kept rows in index order meet the same strict > and
+            # argmax.
+            U, allowance = _row_bounds(Fa, qa[0], C[0], qb[0])
             seed = np.sort(np.argpartition(U, -_SEED_ROWS)[-_SEED_ROWS:])
             top = score(seed, *np.empty((2, 1, _SEED_ROWS, nb))).max()
-            kept = np.flatnonzero(~(U + slack < (np.sqrt(top) if square else top)))
+            kept = np.flatnonzero(~(U + allowance < (np.sqrt(top) if square else top)))
             if len(kept) % rows == 1:
                 kept = np.append(kept, kept[-1])
         buf = np.empty((2, len(Kc), min(rows, len(kept)), nb))
@@ -423,7 +425,7 @@ def max_advantage_localsearch(adv: AdversarySpec, R, restarts: int = 20, *, rng:
         cand = np.abs(q_live[:, None] - 2.0 * f * s)
         i = np.argmax(cand, axis=1)
         rows = np.arange(live.size)
-        up = cand[rows, i] > np.abs(q_live) + 1e-12
+        up = cand[rows, i] > np.abs(q_live) + 1e-12  # a lower bound: stops on rounding noise
         live, i, rows = live[up], i[up], rows[up]
         fi = f[rows, i]
         G[live] -= 2.0 * fi[:, None] * cols[i]

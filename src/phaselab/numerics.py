@@ -4,7 +4,8 @@ Matrices and states are plain numpy arrays (complex128, row-major).  This
 module supplies the few primitives everything else is built on: operator
 norms, random isometries/projectors, total-variation distance, a
 counter-based RNG stream abstraction that makes every experiment
-reproducible independently of thread scheduling, and the one sign sampler.
+reproducible independently of thread scheduling, the one sign sampler, and
+the one rounding allowance behind every certified comparison.
 
 Every operator norm is one dense LAPACK eigensolve, at any size up to
 NORM_MAX_DIM: an exactly Hermitian matrix goes to eigvalsh directly, any other
@@ -42,6 +43,7 @@ __all__ = [
     "span_basis",
     "thread_count",
     "parallel_blocks",
+    "rounding_allowance",
     "CapacityError",
 ]
 
@@ -49,6 +51,15 @@ __all__ = [
 STRUCTURAL_TOL = 1e-10
 DERIVED_TOL = 1e-8
 ZERO_WEIGHT_TOL = 1e-14  # an isometry row whose weight <v_i|v_i>/N is at most this is zero
+
+# u: a float64 operation returns its exact result times (1 + d), |d| <= u.
+UNIT_ROUNDOFF = 2.0**-53
+
+# c of the Hermitian eigensolve's allowance c n u ||A||_F.  Against 40-digit eigenvalues
+# (mpmath), eigvalsh (numpy 2.4.6, OpenBLAS's LAPACK) erred by at most 4.7 n u ||A||_F on
+# 9000 random, graded and shifted matrices at n = 2-4, and by at most 1.6 on 360 from
+# n = 6 to 32: 32 keeps a factor of 6.
+EIGENSOLVE_C = 32
 
 # Largest matrix dimension operator_norm accepts.  Its eigensolve grows as
 # dim^3 (0.4-0.7 s at 1024 on one core, so about half a minute at 4096): a
@@ -152,6 +163,54 @@ def parallel_blocks(fn, total: int, block: int = SAMPLE_BLOCK) -> Iterator:
     if workers > 1:  # os.cpu_count() is a system call: made only when threads are asked for
         workers = min(workers, os.cpu_count() or 1)
     return map(run, range(n_blocks)) if workers <= 1 else window()
+
+
+def rounding_allowance(n: int, scale, eigensolve: bool = False):
+    """A-priori bound on the rounding error of a float64 value, for scale >= 0 (or an array).
+
+    With u = UNIT_ROUNDOFF and gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, ch. 3), it returns gamma_n * scale: a sum or
+    inner product of n terms whose magnitudes add up to scale, computed in any order, is
+    within it of the exact one, and so is any value reached through n roundings, each
+    relative to a magnitude of at most scale.  With eigensolve it returns
+    EIGENSOLVE_C n u scale, scale >= ||A||_F: eigvalsh is backward stable, its eigenvalues
+    of a Hermitian n x n A are those of A + E with ||E||_2 <= c n u ||A||_F (Golub and
+    Van Loan, Matrix Computations, 4th ed., 2013, ch. 8), and by Weyl's inequality no
+    eigenvalue moves by more than ||E||_2.
+
+    Counting: products with +-1 are exact; (1 + theta_j)(1 + theta_k) = 1 + theta_(j+k);
+    a complex value's error is within the sum of its parts' errors, so it counts twice
+    (sqrt(2) gamma_n <= gamma_2n); terms of order u^2 are dropped, each count is rounded
+    up to cover them and the rounding of the allowance itself.  The certified comparisons:
+
+    - Sign search (game._row_bounds), first half a of m signs, ka of them in a, with
+      scale S_a = |q_a| + sum |C| + max |q_b|.  The GEMM value sums m - ka terms (C b)
+      and then ka + 2 (with q_a and q_b): each part within gamma_(m+2) S_a, a complex value
+      within gamma_(2m+4) S_a; its squared modulus and the square roots add gamma_4 S_a.
+      The bound's rotated entries (gamma_4), its sums over ka and m - ka terms (gamma_m),
+      three-term maximum (gamma_2), cos(pi/2J) and division (gamma_3) give
+      gamma_(m+9) S_a / cos(pi/2J) <= gamma_(2m+18) S_a, as the cosine exceeds 1/2;
+      adding the allowance gamma_2 S_a: n = 4m + 28.  Every computed value of row a is
+      at most U_a + allowance.
+    - Subset search (relaxations._norm_bounds), a P x P Hermitian sum S with computed
+      Wolkowicz-Styan bound b.  The mean sums P diagonal entries, each at most ||S||, and
+      a shifted mean moves the exact bound by no more than the shift (gamma_P b); the
+      traceless part's 2P^2 squared parts, the diagonal shift, the factor (P-1)/P, the
+      product, the square root (halving the count) and the final sum give
+      gamma_(P^2+4) b; adding the allowance one more: n = P^2 + P + 6.  The eigensolve
+      adds the second form with ||S||_F <= sqrt(P) ||S|| <= sqrt(P) b, so no computed
+      norm of S exceeds b + allowance.
+    - is_b_bounded, row i of an M x N isometry with rescaled entries
+      D_ki = <v_i|psi_k> / sqrt(wt_i) and scale s_i = ||v_i||_1 / ||v_i||_2 >= |D_ki|.
+      The image sums N products with +-1/sqrt(N) (two roundings), each part within
+      gamma_(N+2) s_i, the complex value within gamma_(2N+4) s_i; the weight (|V_ix|, its
+      square, N - 1 additions, /N), its square root, the complex division and |D| add
+      gamma_(N+6) s_i: n = 3N + 10.  An entry of exactly B is within B + allowance.
+    """
+    if eigensolve:
+        return EIGENSOLVE_C * n * UNIT_ROUNDOFF * scale
+    nu = n * UNIT_ROUNDOFF
+    return nu / (1.0 - nu) * scale
 
 
 def _as_matrix(m, stack: bool = False) -> np.ndarray:

@@ -33,6 +33,7 @@ from .numerics import (
     operator_norm,
     parallel_blocks,
     random_sign_array,
+    rounding_allowance,
 )
 
 __all__ = [
@@ -191,20 +192,26 @@ def _subset_value_terms(projectors, states) -> np.ndarray:
     return _hermitian_part(pinched - np.einsum("ikpkq->ipq", T) / N)
 
 
-def _norm_bounds(S: np.ndarray) -> np.ndarray:
-    """Norm bounds of a contiguous stack of Hermitian P x P matrices; S is overwritten.
+def _norm_bounds(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norm bounds of a contiguous stack of Hermitian P x P matrices, and their allowances.
 
     Wolkowicz-Styan (1980): with m = tr(S)/P and s^2 = ||S - m Id||_F^2 / P, every
     eigenvalue lies within s sqrt(P - 1) of m, so ||S|| <= |m| + s sqrt(P - 1).
     s^2 comes from the traceless part itself, not from ||S||_F^2 / P - m^2,
-    which cancels when S is near a multiple of the identity.
+    which cancels when S is near a multiple of the identity.  The allowance covers
+    the rounding of the bound and of the eigensolve, as derived in `rounding_allowance`:
+    no norm `operator_norm` computes exceeds bound + allowance.  S is overwritten.
     """
     P = S.shape[-1]
     diag = S.reshape(len(S), -1)[:, :: P + 1]
     m = diag.real.sum(axis=1) / P  # the diagonal's imaginary parts are exactly 0
     diag -= m[:, None]
     flat = S.reshape(len(S), -1).view(np.float64)  # real and imaginary parts: P s^2 = flat . flat
-    return np.abs(m) + np.sqrt((P - 1) / P * np.einsum("ij,ij->i", flat, flat))
+    bounds = np.abs(m) + np.sqrt((P - 1) / P * np.einsum("ij,ij->i", flat, flat))
+    # Both allowances are multiples of the bound, as ||S||_F <= sqrt(P) ||S|| <= sqrt(P) b.
+    per_unit = rounding_allowance(P * P + P + 6, 1.0)
+    per_unit += rounding_allowance(P, np.sqrt(P), eigensolve=True)
+    return bounds, per_unit * bounds
 
 
 def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -232,22 +239,23 @@ def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
             sums += terms[j]
         return sums
 
-    # Pass 1: a norm bound of every sum, the one pass 2 norms, and the exact norm of each
-    # block's top-bound sum.
+    # Pass 1: a norm bound plus its allowance for every sum, the one pass 2 norms, and the
+    # exact norm of each block's top-bound sum.
     def bound_block(b, size):
-        bounds = _norm_bounds(block_sums(b))
-        return bounds, float(operator_norm(block_sums(b, [int(np.argmax(bounds))]))[0])
+        bounds, allowance = _norm_bounds(block_sums(b))
+        top = float(operator_norm(block_sums(b, [int(np.argmax(bounds))]))[0])
+        return bounds + allowance, top
 
     bounds, tops = zip(*parallel_blocks(bound_block, 1 << L, 1 << k))
+    # 1e-12 below the top norm, so the fallback below does not fire on that sum's own twin.
     cut = max(tops) - 1e-12
 
-    # Pass 2: exact norms of the sums whose bound reaches cut, the whole block if that is
-    # more than half of it.  The 1e-9 relative margin covers the rounding of bound and
-    # eigensolve (at worst about P^2 * 1.1e-16, below 1e-9 for P < 3000), so every
-    # skipped sum's norm lies below cut; with cut < 0 nothing is skipped.
+    # Pass 2: exact norms of the sums whose bound plus allowance reaches cut, the whole
+    # block if that is more than half of it.  Every skipped sum's norm lies below cut;
+    # with cut < 0 nothing is skipped.
     def evaluate(cut):
         def norm_block(b, size):
-            rows = np.flatnonzero(bounds[b] * (1 + 1e-9) >= cut)
+            rows = np.flatnonzero(bounds[b] >= cut)
             if 2 * rows.size > size:
                 return np.arange(size), operator_norm(block_sums(b))
             return rows, operator_norm(block_sums(b, rows)) if rows.size else np.empty(0)
@@ -266,6 +274,8 @@ def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
     vals = np.concatenate([v for _, v in found])
     if vals.size < 1 << L and np.any((vals > cut) & (vals <= cut + 1e-15)):
         found = evaluate(-np.inf)
+    # The terms sum to 0, so a complement's sum is the negated sum and the top norms come in
+    # twins 0-2.5e-16 apart: the 1e-15 window keeps the first twin in bit order.
     best_val, best_bits = 0.0, 0
     for b, (rows, vals) in enumerate(found):
         for bits, val in zip((rows + (b << k)).tolist(), vals.tolist()):
@@ -314,7 +324,7 @@ def subset_norm_conjecture(
         while len(chosen) < L:
             rest = [int(i) for i in order if int(i) not in chosen]
             cands = operator_norm(acc + terms[rest])
-            better = np.flatnonzero(cands > val + 1e-12)
+            better = np.flatnonzero(cands > val + 1e-12)  # a lower bound: stops on rounding noise
             if better.size == 0:
                 break
             i, val = rest[better[0]], float(cands[better[0]])

@@ -189,6 +189,23 @@ class TestAttackReport:
             hadamard_attack_report(12, 4, draws=2, trials=1, rng=RngStream(8))
         assert calls == []
 
+    @pytest.mark.parametrize("trials", [0, 5])
+    def test_oversize_sign_table_refused_before_drawing(self, monkeypatch, trials):
+        # draws * K * 2^n signs above NORM_MAX_DIM^2 entries, here 8^2 = 64, whatever trials is.
+        calls = []
+        monkeypatch.setattr(attacks, "random_family", lambda *a: calls.append(a))
+        monkeypatch.setattr(attacks, "NORM_MAX_DIM", 8)
+        with pytest.raises(CapacityError, match="3 draws of K = 3 signs over 2\\^3 points exceed"):
+            hadamard_attack_report(3, 3, draws=3, trials=trials, rng=RngStream(8))  # 72 signs
+        with pytest.raises(CapacityError, match="budget of 64 entries"):
+            hadamard_attack_report(40, 1, draws=1, trials=trials, rng=RngStream(8))
+        assert calls == []
+
+    def test_sign_table_at_the_budget_runs(self, monkeypatch):
+        monkeypatch.setattr(attacks, "NORM_MAX_DIM", 8)
+        rep = hadamard_attack_report(3, 2, draws=4, trials=0, rng=RngStream(8))  # 64 signs
+        assert rep.monte_carlo_advantage is None
+
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 0"):
             hadamard_attack_report(2, 2, draws=3, trials=-1, rng=RngStream(9))

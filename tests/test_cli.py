@@ -549,6 +549,17 @@ class TestMain:
         assert captured.out == ""
         assert calls == []
 
+    def test_oversize_attack_without_trials_refused_before_drawing(self, monkeypatch, capsys):
+        # 2^30 signs exceed the 4096^2 entries of the budget: refused, not an 8 GiB draw.
+        calls = []
+        monkeypatch.setattr(attacks, "random_family", lambda *a: calls.append(a))
+        code = main(["attack", "--n", "30", "--K", "1", "--draws", "1", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "budget of 16777216 entries" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
     def test_oversize_game_refused_before_drawing(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: calls.append(a))

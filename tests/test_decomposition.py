@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab.decomposition import (
-    ZERO_WEIGHT_TOL,
-    is_b_bounded,
-    isometry_weights,
-    rescaling_diagonals,
-    truncate_values,
-    width,
-)
+from phaselab.decomposition import is_b_bounded, rescaling_diagonals, truncate_values, width
 import phaselab
 from phaselab.game import AdversarySpec, phase_state, random_family
-from phaselab.numerics import RngStream, random_isometry, random_projector, random_sign_array
+from phaselab.numerics import (
+    ZERO_WEIGHT_TOL,
+    RngStream,
+    isometry_weights,
+    random_isometry,
+    random_projector,
+    random_sign_array,
+    rounding_allowance,
+)
 
 
 def _isometry_with_zero_row(N):
@@ -175,6 +176,24 @@ class TestBoundedness:
         top = np.max(np.abs(D[:, ~mask]))
         assert is_b_bounded(V, R, top + 0.01)
         assert not is_b_bounded(V, R, top - 0.01)
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 512])
+    def test_entries_of_exactly_B_and_just_above_its_allowance(self, N):
+        # V = Id: every entry is +-1 exactly, each row's scale ||v_i||_1 / ||v_i||_2 is 1, and
+        # the computed entries lie within their allowance of 1.
+        R = random_family(2, N, RngStream(25))
+        assert is_b_bounded(np.eye(N), R, 1.0)
+        assert not is_b_bounded(np.eye(N), R, 1.0 - 2 * rounding_allowance(3 * N + 10, 1.0))
+
+    def test_a_generic_entry_just_above_B_plus_its_rows_allowance(self):
+        V = random_isometry(6, 9, RngStream(18))
+        R = random_family(5, 6, RngStream(19))
+        D, _ = rescaling_diagonals(V, R)
+        k, i = np.unravel_index(np.argmax(np.abs(D)), D.shape)
+        row = np.abs(V[i])
+        allowance = rounding_allowance(3 * 6 + 10, row.sum() / np.linalg.norm(row))
+        assert is_b_bounded(V, R, np.abs(D[k, i]))
+        assert not is_b_bounded(V, R, np.abs(D[k, i]) - 2 * allowance)
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from phaselab.numerics import (
     random_projector,
     random_sign_array,
 )
+from phaselab.relaxations import decoupled_kernel
 
 
 def _random_adversary(N, M, rank, seed):
@@ -430,6 +431,56 @@ class TestPrunedSearch:
         vals = _lex_values(K)
         assert np.all(vals.reshape(len(Fa), len(Fb)) <= (U + slack)[:, None])
         assert np.all(slack <= 1e-8 * (np.abs(qa) + np.abs(K).sum() * 2 + np.abs(qb).max()))
+
+    @staticmethod
+    def _assert_allowance_covers_the_scan(K):
+        """Every value the full scan computes in a row is at most its bound plus allowance."""
+        ka = (K.shape[-1] + 1) // 2
+        bounds, scored = [], []
+        row_bounds, matmul = game._row_bounds, np.matmul
+
+        def full(Fa, *a):  # record the real bounds, scan every row
+            U, allowance = row_bounds(Fa, *a)
+            bounds.append(U + allowance)
+            return np.full(len(Fa), np.inf), 0.0
+
+        def spy(a, b, **kw):  # the scan's GEMMs write into out=; their first ka columns are a
+            out = matmul(a, b, **kw)
+            if "out" in kw:
+                scored.append((a[0, :, :ka] < 0) @ (1 << np.arange(ka - 1, -1, -1)))
+                scored.append(out[0].copy())
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "_row_bounds", full)
+            mp.setattr(np, "matmul", spy)
+            max_abs_quadratic(K)
+        (bound,) = bounds
+        step = 4 if np.iscomplexobj(K) else 2  # a complex kernel: real part, then imaginary
+        assert len(scored) > step and len(scored) % step == 0
+        for i in range(0, len(scored), step):
+            rows, vals = scored[i], scored[i + 1]
+            if step == 4:  # the squared modulus as the scan forms it, and its square root
+                vals *= vals
+                vals += np.multiply(scored[i + 3], scored[i + 3])
+                vals = np.sqrt(vals)
+            assert np.all(np.abs(vals) <= bound[rows][:, None])
+
+    @pytest.mark.parametrize("m", range(17, 23))
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "blockdiag", "outer"])
+    def test_allowance_covers_every_scanned_value(self, m, complex_, kind):
+        # blockdiag and a real x x^T attain their row bounds, so only the allowance covers
+        # the rounding there.
+        K = _structured_kernel(kind if kind != "outer" else "random", m, 300 + m, complex_)
+        self._assert_allowance_covers_the_scan(np.outer(K[0], K[0]) if kind == "outer" else K)
+
+    @pytest.mark.parametrize("m", [18, 20])
+    def test_allowance_covers_every_scanned_value_of_adversary_kernels(self, m):
+        adv = _random_adversary(8, m, m // 2, 310 + m)
+        R, Rp = random_family(4, 8, RngStream(311)), random_family(4, 8, RngStream(312))
+        self._assert_allowance_covers_the_scan(np.real(advantage_kernel(adv, R)))
+        self._assert_allowance_covers_the_scan(decoupled_kernel(adv, R, Rp))
 
     @pytest.mark.parametrize("m", range(13, 21))
     @pytest.mark.parametrize("complex_", [False, True])

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import phaselab
@@ -125,3 +126,9 @@ def test_detects_a_public_def_missing_from_all(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text('__all__ = ["listed"]\ndef listed(): pass\ndef unlisted(): pass\nx = 1\n')
     assert _public_defs_and_all(probe) == ({"listed", "unlisted"}, {"listed"})
+
+
+def test_pyproject_version_is_the_package_version():
+    """Every record carries phaselab.__version__; pyproject.toml's must be bumped with it."""
+    with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == phaselab.__version__

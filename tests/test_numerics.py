@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from phaselab.numerics import (
     random_isometry,
     random_projector,
     random_sign_array,
+    rounding_allowance,
     span_basis,
     thread_count,
     tv_distance,
@@ -387,6 +390,43 @@ class TestBlockwiseHermitianTest:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # a quarter of one 512 x 512 complex matrix
+
+
+class TestRoundingAllowance:
+    def test_both_forms(self):
+        u = 2.0**-53
+        assert rounding_allowance(10, 3.0) == 10 * u / (1 - 10 * u) * 3.0
+        assert rounding_allowance(5, 2.0, eigensolve=True) == numerics.EIGENSOLVE_C * 5 * u * 2.0
+        got = rounding_allowance(4, np.array([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(got, [0.0, 4 * u / (1 - 4 * u), 8 * u / (1 - 4 * u)])
+
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_covers_an_inner_product(self, n, seed):
+        # Second route: the exact inner product in rational arithmetic.
+        g = np.random.default_rng(seed)
+        x = g.standard_normal(n) * 10.0 ** g.uniform(-6, 6, n)
+        y = g.standard_normal(n)
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), y.tolist()))
+        error = abs(Fraction(float(x @ y)) - exact)
+        assert error <= Fraction(rounding_allowance(n, float(np.abs(x) @ np.abs(y))))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=-8.0, max_value=8.0))
+    @settings(max_examples=200, deadline=None)
+    def test_covers_a_two_by_two_eigensolve(self, seed, log_scale):
+        # Second route: the closed-form eigenvalues of [[a, b], [conj(b), d]] to 50 digits.
+        g = np.random.default_rng(seed)
+        a, d, br, bi = g.standard_normal(4) * 10.0 ** (log_scale + g.uniform(-8, 0, 4))
+        A = np.array([[a, br + 1j * bi], [br - 1j * bi, d]])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            mid = (Decimal(a) + Decimal(d)) / 2
+            half_gap = (Decimal(a) - Decimal(d)) / 2
+            rad = (half_gap**2 + Decimal(br) ** 2 + Decimal(bi) ** 2).sqrt()
+            exact = [mid - rad, mid + rad]
+            allowance = Decimal(rounding_allowance(2, np.linalg.norm(A), eigensolve=True))
+            for w, e in zip(np.linalg.eigvalsh(A).tolist(), exact):
+                assert abs(Decimal(w) - e) <= allowance
 
 
 class TestRandomOperators:

@@ -24,6 +24,7 @@ from phaselab.game import (
     random_family,
 )
 from phaselab.numerics import (
+    CapacityError,
     RngStream,
     check_projector,
     random_isometry,
@@ -77,6 +78,12 @@ CASES = [
     ),
     _case("bv-K", lambda d: bv_query_dimension(0, 3), "K and N must be positive"),
     _case("bv-N", lambda d: bv_query_dimension(3, 0), "K and N must be positive"),
+    _case(
+        "bv-cap",
+        lambda d: bv_query_dimension(10**5, 10**5),  # 2^(10^10) is compared, never built
+        "query dimension 2^10000000000",
+        CapacityError,
+    ),
     # bench
     _case(
         "rademacher-empty",
