@@ -25,6 +25,7 @@ from .game import (
     sign_rows,
 )
 from .numerics import (
+    DERIVED_TOL,
     RngStream,
     check_isometry,
     operator_norm,
@@ -74,17 +75,13 @@ class TailReport:
             raise ValueError("frequencies must lie in [0, 1]")
 
 
-def _binomial_slack(p_bound: float, samples: int) -> float:
-    p = min(max(p_bound, 0.0), 1.0)
-    return 3.0 * np.sqrt(p * (1.0 - p) / samples) if samples > 0 else 0.0
-
-
-def _tail_report(name, values, thresholds, bounds, samples, extras=None) -> TailReport:
+def _tail_report(name, values, thresholds, bounds, extras=None) -> TailReport:
+    """The one verdict rule: each tail frequency at most b + 3 sqrt(b (1 - b) / n), for its
+    bound b clipped at 1 and the n = len(values) samples, and any extras "mean_ok" true."""
+    n = len(values)
+    bounds = [min(1.0, b) for b in bounds]
     freqs = [float(np.mean(values >= t)) for t in thresholds]
-    ok = all(
-        f <= b + _binomial_slack(min(b, 1.0), samples) + 1e-12
-        for f, b in zip(freqs, bounds)
-    )
+    ok = all(f <= b + 3.0 * np.sqrt(b * (1.0 - b) / n) + 1e-12 for f, b in zip(freqs, bounds))
     if extras:
         ok = ok and bool(extras.get("mean_ok", True))
     return TailReport(
@@ -92,10 +89,17 @@ def _tail_report(name, values, thresholds, bounds, samples, extras=None) -> Tail
         thresholds=tuple(float(t) for t in thresholds),
         empirical=tuple(freqs),
         bounds=tuple(float(b) for b in bounds),
-        samples=int(samples),
+        samples=n,
         passed=bool(ok),
         extras=dict(extras or {}),
     )
+
+
+def _sampled(run_block, samples: int) -> np.ndarray:
+    """run_block(b, size) over the parallel blocks of `samples`, concatenated in block order."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    return np.concatenate(list(parallel_blocks(run_block, samples)))
 
 
 def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailReport:
@@ -110,10 +114,9 @@ def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailR
     C = [np.asarray(c, dtype=np.complex128) for c in coefficients]
     if not C:
         raise ValueError("need at least one coefficient matrix")
-    shape = C[0].shape
-    if any(c.shape != shape for c in C):
+    if any(c.shape != C[0].shape for c in C):
         raise ValueError("coefficient matrices must share one shape")
-    d1, d2 = shape
+    d1, d2 = C[0].shape
     v = max(
         operator_norm(sum(c @ c.conj().T for c in C)),
         operator_norm(sum(c.conj().T @ c for c in C)),
@@ -127,8 +130,8 @@ def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailR
         signs = random_sign_array(rng.child(b).generator(), (size, len(C)))
         return operator_norm(np.stack([np.tensordot(s, stacked, axes=1) for s in signs]))
 
-    norms = np.concatenate(list(parallel_blocks(run_block, samples)))
-    bounds = [min(1.0, (d1 + d2) * np.exp(-(t**2) / (2.0 * v))) for t in thresholds]
+    norms = _sampled(run_block, samples)
+    bounds = [(d1 + d2) * np.exp(-(t**2) / (2.0 * v)) for t in thresholds]
     mean = float(norms.mean())
     se = float(norms.std(ddof=1) / np.sqrt(len(norms)))
     extras = {
@@ -137,9 +140,7 @@ def rademacher_series_bench(coefficients, samples: int, rng: RngStream) -> TailR
         "mean_bound": mean_bound,
         "mean_ok": mean <= mean_bound + 3.0 * se + 1e-12,
     }
-    return _tail_report(
-        "matrix-rademacher", norms, thresholds, bounds, len(norms), extras
-    )
+    return _tail_report("matrix-rademacher", norms, thresholds, bounds, extras)
 
 
 def truncated_conjugation_sampler(V, Pi, B: float):
@@ -181,6 +182,8 @@ def matrix_hoeffding_bench(
     and Pr[||sum Z_k|| >= t] <= 2 D exp(-t^2 / (8 sigma^2)).  Block b takes its size * K
     draws as one sampler stack from rng.child(b), each matrix checked Hermitian.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sigma2 = K * norm_bound**2
@@ -188,20 +191,16 @@ def matrix_hoeffding_bench(
 
     def run_block(b, size):
         Z = sampler(rng.child(b).generator(), size * K)
-        if float(np.max(np.abs(Z - np.swapaxes(Z.conj(), -1, -2)))) > 1e-8:
+        if float(np.max(np.abs(Z - np.swapaxes(Z.conj(), -1, -2)))) > DERIVED_TOL:
             raise ValueError("sampler must produce Hermitian matrices")
         D = Z.shape[-1]
         return operator_norm(Z.reshape(size, K, D, D).sum(axis=1)), D
 
     blocks, dims = zip(*parallel_blocks(run_block, samples))
     norms, D = np.concatenate(blocks), dims[0]
-    bounds = [
-        min(1.0, 2.0 * D * np.exp(-(t**2) / (8.0 * sigma2))) for t in thresholds
-    ]
+    bounds = [2.0 * D * np.exp(-(t**2) / (8.0 * sigma2)) for t in thresholds]
     extras = {"sigma2": float(sigma2), "mean_norm": float(norms.mean())}
-    return _tail_report(
-        "matrix-hoeffding", norms, thresholds, bounds, len(norms), extras
-    )
+    return _tail_report("matrix-hoeffding", norms, thresholds, bounds, extras)
 
 
 def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport:
@@ -210,8 +209,6 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
     Tail reference: Pr[|S| >= t] <= 2 exp(-t^2 / 2); also validates the
     second-moment identity E|S|^2 = sum |a_i|^2 = 1 within sampling error.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     a = np.asarray(weights, dtype=np.complex128).ravel()
     total = float(np.sum(np.abs(a) ** 2))
     if abs(total - 1.0) > 1e-9:
@@ -220,8 +217,8 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
     def run_block(b, size):
         return np.abs(random_sign_array(rng.child(b).generator(), (size, a.size)) @ a)
 
-    mags = np.concatenate(list(parallel_blocks(run_block, samples)))
-    bounds = [min(1.0, 2.0 * np.exp(-(t**2) / 2.0)) for t in COMPLEX_THRESHOLDS]
+    mags = _sampled(run_block, samples)
+    bounds = [2.0 * np.exp(-(t**2) / 2.0) for t in COMPLEX_THRESHOLDS]
     sq = mags**2
     se = float(sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
     extras = {
@@ -229,18 +226,18 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
         "second_moment_se": se,
         "mean_ok": abs(float(sq.mean()) - 1.0) <= 3.0 * se + 1e-12,
     }
-    return _tail_report("complex-hoeffding", mags, COMPLEX_THRESHOLDS, bounds, len(mags), extras)
+    return _tail_report("complex-hoeffding", mags, COMPLEX_THRESHOLDS, bounds, extras)
 
 
 def _over_families(values, K: int, N: int, samples: int, rng: RngStream) -> np.ndarray:
     """values(stack) over `samples` fresh K x N families, one generator and one stack per block."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if K < 1:
+        raise ValueError("K must be >= 1")
 
     def run_block(b, size):
         return values(random_family(size * K, N, rng.child(b)).reshape(size, K, N))
 
-    return np.concatenate(list(parallel_blocks(run_block, samples)))
+    return _sampled(run_block, samples)
 
 
 def width_tail_bench(V, K: int, samples: int, rng: RngStream) -> TailReport:
@@ -252,13 +249,9 @@ def width_tail_bench(V, K: int, samples: int, rng: RngStream) -> TailReport:
     """
     M, N = check_isometry(V).shape
     widths = _over_families(lambda stack: width(V, stack), K, N, samples, rng)
-    excess = widths - 1.0
-    bounds = [
-        min(1.0, 2.0 * M * np.exp(-WIDTH_C_TEST * min(t * t, t) * K))
-        for t in WIDTH_THRESHOLDS
-    ]
+    bounds = [2.0 * M * np.exp(-WIDTH_C_TEST * min(t * t, t) * K) for t in WIDTH_THRESHOLDS]
     extras = {"mean_width": float(widths.mean()), "c_test": WIDTH_C_TEST}
-    return _tail_report("width-tail", excess, WIDTH_THRESHOLDS, bounds, len(widths), extras)
+    return _tail_report("width-tail", widths - 1.0, WIDTH_THRESHOLDS, bounds, extras)
 
 
 def advantage_tail_bench(
@@ -285,20 +278,14 @@ def advantage_tail_bench(
 
     values = _over_families(value, K, N, samples, rng)
     tail = values if mode == "fixed-f" else values - values.mean()
-    bounds = [
-        min(1.0, scale * np.exp(-ADVANTAGE_C_TEST * e * e * K * N)) for e in ADVANTAGE_EPSILONS
-    ]
+    bounds = [scale * np.exp(-ADVANTAGE_C_TEST * e * e * K * N) for e in ADVANTAGE_EPSILONS]
     extras = {"mode": mode, "c_test": ADVANTAGE_C_TEST, "mean_advantage": float(values.mean())}
-    return _tail_report(
-        f"advantage-tail-{mode}", tail, ADVANTAGE_EPSILONS, bounds, len(values), extras
-    )
+    return _tail_report(f"advantage-tail-{mode}", tail, ADVANTAGE_EPSILONS, bounds, extras)
 
 
 def _rademacher(rng: RngStream, samples: int) -> list[TailReport]:
     g = rng.child(1000).generator()
-    coeffs = [
-        g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6)) for _ in range(8)
-    ]
+    coeffs = [g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6)) for _ in range(8)]
     return [rademacher_series_bench(coeffs, samples, rng.child(0))]
 
 

@@ -34,7 +34,7 @@ from .game import (
     random_family,
     simulate_game,
 )
-from .numerics import THREADS_ENV, CapacityError, RngStream, check_norm_budget
+from .numerics import DERIVED_TOL, THREADS_ENV, CapacityError, RngStream, check_norm_budget
 from .numerics import random_isometry, random_projector
 from .relaxations import (
     decoupled_spectral_relaxation,
@@ -240,7 +240,7 @@ def _conjecture(p: dict, rng: RngStream, instance: dict | None) -> dict:
 def _compress(p: dict, rng: RngStream, instance: dict | None) -> dict:
     V = random_isometry(p["D"], p["L"] * p["S"], rng.child(0))
     dev = verify_one_query_simulation(V, p["L"], p["trials"], rng.child(2))
-    return {"max_deviation": dev, "passed": dev <= 1e-8}
+    return {"max_deviation": dev, "passed": dev <= DERIVED_TOL}
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .numerics import (
     DERIVED_TOL,
+    NORM_MAX_DIM,
     ZERO_WEIGHT_TOL,
     CapacityError,
     RngStream,
@@ -102,7 +103,12 @@ def check_bruteforce_size(m: int) -> None:
 
 
 def random_family(K: int, N: int, rng: RngStream) -> np.ndarray:
-    """A uniform K x N +-1 family from the stream, drawn by `random_sign_array`."""
+    """A uniform K x N +-1 family from the stream, drawn by `random_sign_array`; K * N above
+    NORM_MAX_DIM^2 entries, the largest matrix operator_norm takes, is refused before drawing."""
+    if K * N > NORM_MAX_DIM**2:
+        raise CapacityError(
+            f"a K x N family of {K} x {N} signs exceeds the budget of {NORM_MAX_DIM**2} entries"
+        )
     return random_sign_array(rng.generator(), (K, N))
 
 

@@ -238,10 +238,10 @@ def _lower_blocks(n: int) -> list[tuple[int, int]]:
 
 def _lower_residual(x, y, c) -> float:
     """max |x @ y - c| on the lower block triangle, all of it when x @ y - c is Hermitian."""
-    if len(c) <= HERMITIAN_BLOCK:  # one block: the whole product
-        return float(np.max(np.abs(x @ y - c)))
-    blocks = _lower_blocks(len(c))
-    return max(_lower_residual(x[lo:hi], y[:, :hi], c[lo:hi, :hi]) for lo, hi in blocks)
+    return max(
+        float(np.max(np.abs(x[lo:hi] @ y[:, :hi] - c[lo:hi, :hi])))
+        for lo, hi in _lower_blocks(len(c))
+    )
 
 
 def _route_norms(a: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -321,7 +321,9 @@ def tv_distance(p, q) -> float:
     """Total variation distance (1/2) sum |p_i - q_i| between two distributions."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
+    if p.ndim != 1 or q.ndim != 1:
+        raise ValueError(f"distributions must be 1-D, got shapes {p.shape} and {q.shape}")
+    if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     for name, v in (("p", p), ("q", q)):
         if np.any(v < -1e-12):

@@ -27,6 +27,7 @@ from .game import (
     max_abs_quadratic,
 )
 from .numerics import (
+    DERIVED_TOL,
     CapacityError,
     RngStream,
     check_unit_vector,
@@ -183,7 +184,7 @@ def _subset_value_terms(projectors, states) -> np.ndarray:
     if any(Pm.shape != (dim, dim) for Pm in Pis):
         raise ValueError("projectors must share one dimension")
     T = np.stack(Pis)
-    if float(np.max(np.abs(T.sum(axis=0) - np.eye(dim)))) > 1e-8:
+    if float(np.max(np.abs(T.sum(axis=0) - np.eye(dim)))) > DERIVED_TOL:
         raise ValueError("projectors must sum to the identity")
     psi = np.stack(states)
     rho = psi.T @ psi.conj() / len(psi)  # rho[l, k] = E_k psi_l conj(psi_k)

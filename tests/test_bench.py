@@ -47,11 +47,23 @@ class TestTailReportVerdict:
         "mean_ok, passed", [(True, True), (False, False), (np.True_, True), (np.False_, False)]
     )
     def test_mean_ok_is_read_as_a_truth_value(self, mean_ok, passed):
-        rep = bench._tail_report("x", np.zeros(10), [1.0], [1.0], 10, {"mean_ok": mean_ok})
+        rep = bench._tail_report("x", np.zeros(10), [1.0], [1.0], {"mean_ok": mean_ok})
         assert rep.passed is passed
 
     def test_tail_breach_fails_without_extras(self):
-        assert not bench._tail_report("x", np.ones(100), [0.5], [0.01], 100).passed
+        assert not bench._tail_report("x", np.ones(100), [0.5], [0.01]).passed
+
+    def test_bounds_are_clipped_at_one_and_samples_counted(self):
+        rep = bench._tail_report("x", np.ones(7), [0.5, 2.0], [3.0, 0.25])
+        assert rep.bounds == (1.0, 0.25)
+        assert rep.samples == 7
+        assert rep.passed
+
+    @pytest.mark.parametrize("hits, passed", [(37, True), (38, False)])
+    def test_three_sigma_slack_on_the_reports_own_sample_count(self, hits, passed):
+        values = (np.arange(100) < hits).astype(float)  # tail frequency hits / 100 at 0.5
+        # bound 0.25 plus 3 sqrt(0.25 * 0.75 / 100) = 0.3799
+        assert bench._tail_report("x", values, [0.5], [0.25]).passed is passed
 
 
 class TestRademacherSeries:

@@ -571,6 +571,19 @@ class TestMain:
         assert captured.out == ""
         assert calls == []
 
+    def test_oversize_family_refused_before_drawing(self, monkeypatch, capsys):
+        # K x N signs above NORM_MAX_DIM^2 entries, here 8^2 = 64: exit 3, not a MemoryError.
+        monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
+        assert _main_io(["game", "--K", "8", "--N", "8", "--trials", "10"])[0] == 0  # 64 signs
+        calls = []
+        monkeypatch.setattr(game, "random_sign_array", lambda *a: calls.append(a))
+        code = main(["game", "--K", "9", "--N", "8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "9 x 8 signs exceeds the budget of 64 entries" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
     def test_oversize_game_instance_refused_before_drawing(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "adv.json"
         save_instance(_adversary(), str(path))

@@ -128,6 +128,37 @@ def test_detects_a_public_def_missing_from_all(tmp_path):
     assert _public_defs_and_all(probe) == ({"listed", "unlisted"}, {"listed"})
 
 
+def _tail_report_builders(path):
+    """The top-level def (None outside one) around each TailReport(...) call of a module."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TailReport":
+                    found.append(owner)
+    return found
+
+
+def test_only_tail_report_builds_a_tail_report():
+    """A bench report's verdict is decided in one place, bench._tail_report."""
+    modules = sorted(SRC.glob("*.py"))
+    builders = {(p.name, owner) for p in modules for owner in _tail_report_builders(p)}
+    assert builders == {("bench.py", "_tail_report")}
+
+
+def test_detects_a_tail_report_built_elsewhere(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _tail_report():\n    return TailReport()\n"
+        "def width_tail_bench():\n    return bench.TailReport(passed=True)\n"
+        "REPORT = TailReport()\n"
+    )
+    assert _tail_report_builders(probe) == ["_tail_report", "width_tail_bench", None]
+
+
 def test_pyproject_version_is_the_package_version():
     """Every record carries phaselab.__version__; pyproject.toml's must be bumped with it."""
     with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:

@@ -534,8 +534,20 @@ class TestValidators:
 
     @staticmethod
     def _residual_blocks(monkeypatch):
+        """Shape of each c that _lower_residual takes, then of each block of c it compares."""
         seen, residual = [], numerics._lower_residual
-        monkeypatch.setattr(numerics, "_lower_residual", lambda x, y, c: seen.append(c.shape) or residual(x, y, c))
+
+        class Sliced(np.ndarray):
+            def __getitem__(self, key):
+                block = super().__getitem__(key)
+                seen.append(block.shape)
+                return block.view(np.ndarray)
+
+        def spy(x, y, c):
+            seen.append(c.shape)
+            return residual(x, y, np.asarray(c).view(Sliced))
+
+        monkeypatch.setattr(numerics, "_lower_residual", spy)
         return seen
 
     def test_hermitian_defect_in_the_last_row_block_is_rejected(self, monkeypatch):

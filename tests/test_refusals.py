@@ -108,6 +108,17 @@ CASES = [
         "must produce Hermitian matrices",
     ),
     _case(
+        "hoeffding-K",
+        lambda d: matrix_hoeffding_bench(_not_hermitian, 1.0, 0, 10, RNG),
+        "K must be >= 1",
+    ),
+    _case(
+        "width-K",
+        lambda d: width_tail_bench(random_isometry(2, 4, RNG), 0, 10, RNG),
+        "K must be >= 1",
+    ),
+    _case("advantage-K", lambda d: advantage_tail_bench(_adv(), 0, 10, RNG), "K must be >= 1"),
+    _case(
         "complex-weights",
         lambda d: complex_hoeffding_bench([1.0, 1.0], 10, RNG),
         "squared magnitudes sum to 2.0, expected 1",
@@ -163,6 +174,7 @@ CASES = [
     # numerics
     _case("isometry-n_in", lambda d: random_isometry(0, 3, RNG), "n_in must be positive"),
     _case("tv-length", lambda d: tv_distance([1.0], [0.5, 0.5]), "length mismatch"),
+    _case("tv-ndim", lambda d: tv_distance([[1.0]], [[1.0]]), "must be 1-D, got shapes (1, 1)"),
     _case("tv-negative", lambda d: tv_distance([1.5, -0.5], [0.5, 0.5]), "p has negative entries"),
     _case("projector-square", lambda d: check_projector(np.ones((2, 3))), "must be square"),
     # relaxations
@@ -212,6 +224,8 @@ def test_refusal(call, exception, fragment, tmp_path):
         pytest.param(
             bench, lambda: width_tail_bench(np.ones((4, 2)), 2, 10, RNG), id="width-isometry"
         ),
+        pytest.param(bench, lambda: width_tail_bench(np.eye(4)[:, :2], 0, 10, RNG), id="width-K"),
+        pytest.param(bench, lambda: advantage_tail_bench(_adv(), 0, 10, RNG), id="advantage-K"),
         pytest.param(attacks, lambda: hadamard_attack_report(-1, 2, 3, 10, RNG), id="attack-n"),
         pytest.param(attacks, lambda: hadamard_attack_report(2, 0, 3, 10, RNG), id="attack-K"),
     ],
