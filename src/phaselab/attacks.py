@@ -93,10 +93,11 @@ def hadamard_game_encoding(R) -> tuple[AdversarySpec, np.ndarray]:
     the ancilla back onto |minus>.  Acceptance probability then equals the
     probability the measured y falls in the "family side" set, matching the
     classify-and-output-0 behavior; the optimal classifier keeps y with
-    outcome probability at least uniform.
+    outcome probability at least uniform.  A 2N x 2N Pi above `check_norm_budget` is refused first.
     """
-    m = hadamard_outcome_distribution(check_family(R))
-    N = m.size
+    N = check_family(R).shape[1]
+    check_norm_budget((2 * N, 2 * N))
+    m = hadamard_outcome_distribution(R)
     H = fwht(np.eye(N)) / np.sqrt(N)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     V = np.kron(H, minus[:, None]).astype(np.complex128)  # index (y, a) -> 2y + a

@@ -26,6 +26,7 @@ from .game import (
 )
 from .numerics import (
     DERIVED_TOL,
+    STRUCTURAL_TOL,
     RngStream,
     check_isometry,
     operator_norm,
@@ -211,7 +212,7 @@ def complex_hoeffding_bench(weights, samples: int, rng: RngStream) -> TailReport
     """
     a = np.asarray(weights, dtype=np.complex128).ravel()
     total = float(np.sum(np.abs(a) ** 2))
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > STRUCTURAL_TOL:
         raise ValueError(f"squared magnitudes sum to {total}, expected 1")
 
     def run_block(b, size):

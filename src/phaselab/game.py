@@ -69,8 +69,7 @@ BRUTEFORCE_CUTOFF = 28
 _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran slower
 _DIRECTIONS = 8  # complex bound, 1/cos(pi/16) - 1 = 2 % loose: 4 and 16 ran slower at M = 22
 _SEED_ROWS = 32  # top-bound rows scored for the cut: 128 ran slower at M = 18-22
-_TRIAL_BLOCK = 8192  # trials per block, one stream each; their b = 1 rows scored in chunks
-_SCORE_ROWS = 1024  # 2 MiB of signs at N = 256; a multiple of 64, so chunks draw one draw's bits
+_TRIAL_BLOCK = 2048  # trials per block, one stream each: about 1024 b = 1 rows, 2 MiB at N = 256
 
 
 def _check_sign_array(values, ndim: int, what: str) -> np.ndarray:
@@ -146,13 +145,11 @@ class AdversarySpec:
         return self.V.shape[0]
 
     def pi_entrywise(self, C: np.ndarray) -> np.ndarray:
-        """Pi * C entrywise for an M x M kernel C or a stack of them, written into C.
+        """C * Pi entrywise for an M x M kernel C or a stack of them, written into C.
 
-        The factor order sets a complex product's rounding (fused multiply-adds).  numpy
-        computes `Pi * C` for a temporary C of 256 KiB or more as `C *= Pi`, so C comes
-        first from M = 128, Pi below; each matrix of a stack is rounded as it alone is.
+        C comes first at every size, as the factor order sets a complex product's rounding.
         """
-        return np.multiply(*((C, self.Pi) if self.M >= 128 else (self.Pi, C)), out=C)
+        return np.multiply(C, self.Pi, out=C)
 
 
 def check_families(R) -> np.ndarray:
@@ -167,12 +164,15 @@ def check_families(R) -> np.ndarray:
 def family_images(V, R) -> np.ndarray:
     """K x M matrix whose row k is V |psi_{R_k}>, for an M x N matrix V and a K x N family R.
 
-    A stack of families (..., K, N) gives (..., K, M), each family's own product.
+    A stack of families (..., K, N) gives (..., K, M), each family's own product; more
+    than NORM_MAX_DIM^2 entries are refused before the product.
     """
     Rv = check_families(R)
-    N = V.shape[1]
+    M, N = V.shape
     if Rv.shape[-1] != N:
         raise ValueError(f"family width {Rv.shape[-1]} != N = {N}")
+    if Rv.size // N * M > NORM_MAX_DIM**2:
+        raise CapacityError(f"{Rv.size // N} x {M} family-image entries exceed {NORM_MAX_DIM**2}")
     return np.swapaxes(V @ (np.swapaxes(Rv, -1, -2) / np.sqrt(N)), -1, -2)
 
 
@@ -448,8 +448,8 @@ def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> floa
     random row k, on b = 1 a fresh random phase state (the adversary's view is
     identical to the random-basis-state challenger).  The adversary measures
     Pi on O_f V |psi> and answers 0 on acceptance, with probability
-    h^T Q_f h / N.  Random phase states are drawn and scored only on b = 1
-    trials, _SCORE_ROWS at a time, with the bits and values of one draw and one GEMM.
+    h^T Q_f h / N.  Block b of _TRIAL_BLOCK trials draws from rng.child(b); it draws
+    all its b = 1 trials' random phase states at once and scores them in one GEMM.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -462,11 +462,8 @@ def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> floa
         ones = g.integers(0, 2, size=size) == 1
         ks = g.integers(0, Rv.shape[0], size=size)
         u = g.random(size)
-        p, at = p_rows[ks], np.flatnonzero(ones)
-        # A lone last row joins the chunk before it: numpy scores one row as gemv, with other bits.
-        starts = range(0, max(len(at) - 1, 1), _SCORE_ROWS)
-        for lo, hi in zip(starts, [*starts[1:], len(at)]):
-            p[at[lo:hi]] = _acceptance(adv, Q, random_sign_array(g, (hi - lo, adv.N)))
+        p = p_rows[ks]
+        p[ones] = _acceptance(adv, Q, random_sign_array(g, (int(ones.sum()), adv.N)))
         # The adversary answers 1 (b = 1) exactly when it does not accept.
         return int(np.sum((u >= p) == ones))
 

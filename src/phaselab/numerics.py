@@ -47,8 +47,8 @@ __all__ = [
     "CapacityError",
 ]
 
-# Tolerance hierarchy: structural invariants at 1e-10, derived equalities at 1e-8.
-STRUCTURAL_TOL = 1e-10
+# Tolerance hierarchy: normalizations at 1e-9, derived equalities at 1e-8.
+STRUCTURAL_TOL = 1e-9
 DERIVED_TOL = 1e-8
 ZERO_WEIGHT_TOL = 1e-14  # an isometry row whose weight <v_i|v_i>/N is at most this is zero
 
@@ -236,12 +236,13 @@ def _lower_blocks(n: int) -> list[tuple[int, int]]:
     return [(lo, lo + HERMITIAN_BLOCK) for lo in range(0, n, HERMITIAN_BLOCK)]
 
 
-def _lower_residual(x, y, c) -> float:
-    """max |x @ y - c| on the lower block triangle, all of it when x @ y - c is Hermitian."""
-    return max(
-        float(np.max(np.abs(x[lo:hi] @ y[:, :hi] - c[lo:hi, :hi])))
-        for lo, hi in _lower_blocks(len(c))
-    )
+def _lower_residual(x, y, c, hermitian: bool = True) -> float:
+    """max |x @ y - c| by row blocks: on the lower block triangle if it is Hermitian, else all."""
+    resid = 0.0
+    for lo, hi in _lower_blocks(len(c)):
+        cols = hi if hermitian else None
+        resid = max(resid, float(np.max(np.abs(x[lo:hi] @ y[:, :cols] - c[lo:hi, :cols]))))
+    return resid
 
 
 def _route_norms(a: np.ndarray, hermitian: bool) -> np.ndarray:
@@ -328,7 +329,7 @@ def tv_distance(p, q) -> float:
     for name, v in (("p", p), ("q", q)):
         if np.any(v < -1e-12):
             raise ValueError(f"{name} has negative entries")
-        if abs(v.sum() - 1.0) > 1e-9:
+        if abs(v.sum() - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"{name} does not sum to 1 (sum={v.sum()!r})")
     return float(0.5 * np.abs(p - q).sum())
 
@@ -343,7 +344,7 @@ def span_basis(A) -> tuple[np.ndarray, np.ndarray]:
 def check_unit_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128).ravel()
     nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > STRUCTURAL_TOL * 10:
+    if abs(nrm - 1.0) > STRUCTURAL_TOL:
         raise ValueError(f"not a unit vector: norm {nrm}")
     return a
 
@@ -366,16 +367,16 @@ def isometry_weights(V) -> np.ndarray:
 def check_projector(p) -> np.ndarray:
     """P as a complex matrix after checking max |P - P^H| and max |P P - P| <= DERIVED_TOL.
 
-    Both are taken block by block on the lower block triangle, with no M x M temporary:
-    |P - P^H| is the same at (i, j) and (j, i), and a P equal to P^H bit for bit (a
-    hermiticity residual of 0) has a Hermitian P P.  Any other P takes the whole product.
+    Both are taken by row blocks with no M x M temporary, on the lower block triangle where
+    that covers them: |P - P^H| always, |P P - P| when P equals P^H bit for bit (so P P is
+    Hermitian).  Any other P takes |P P - P| on every column of each row block.
     """
     a = _as_matrix(p)
     if a.shape[0] != a.shape[1]:
         raise ValueError("projector must be square")
     blocks = _lower_blocks(len(a))
     herm = max(float(np.max(np.abs(a[lo:hi, :hi] - a[:hi, lo:hi].T.conj()))) for lo, hi in blocks)
-    idem = _lower_residual(a, a, a) if herm == 0.0 else float(np.max(np.abs(a @ a - a)))
+    idem = _lower_residual(a, a, a, hermitian=herm == 0.0)
     if herm > DERIVED_TOL or idem > DERIVED_TOL:
         raise ValueError(
             f"not a projector: hermiticity residual {herm:.3e}, "

@@ -251,14 +251,11 @@ def _brute_subset_max(terms: np.ndarray) -> tuple[float, tuple[int, ...]]:
     # 1e-12 below the top norm, so the fallback below does not fire on that sum's own twin.
     cut = max(tops) - 1e-12
 
-    # Pass 2: exact norms of the sums whose bound plus allowance reaches cut, the whole
-    # block if that is more than half of it.  Every skipped sum's norm lies below cut;
-    # with cut < 0 nothing is skipped.
+    # Pass 2: exact norms of the sums whose bound plus allowance reaches cut.  Every
+    # skipped sum's norm lies below cut; with cut < 0 nothing is skipped.
     def evaluate(cut):
         def norm_block(b, size):
             rows = np.flatnonzero(bounds[b] >= cut)
-            if 2 * rows.size > size:
-                return np.arange(size), operator_norm(block_sums(b))
             return rows, operator_norm(block_sums(b, rows)) if rows.size else np.empty(0)
 
         return list(parallel_blocks(norm_block, 1 << L, 1 << k))

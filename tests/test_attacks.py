@@ -217,6 +217,19 @@ class TestAttackReport:
         rep = hadamard_attack_report(3, 4, draws=2, trials=0, rng=RngStream(9))
         assert rep.monte_carlo_advantage is None
 
+    def test_oversize_encoding_refused_before_building(self, monkeypatch):
+        # A K x 8 family's encoding is 16 x 16: refused under a budget of 15, built at 16.
+        R = random_family(4, 8, RngStream(11))
+        built = []
+        monkeypatch.setattr(attacks, "fwht", lambda *a: built.append(a))
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 15)
+        with pytest.raises(CapacityError, match="budget 15"):
+            hadamard_game_encoding(R)
+        assert built == []
+        monkeypatch.undo()
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 16)
+        assert hadamard_game_encoding(R)[0].Pi.shape == (16, 16)
+
     def test_one_draw_has_no_variance(self):
         rep = hadamard_attack_report(3, 4, draws=1, trials=10, rng=RngStream(9))
         assert rep.x_statistic_variance is None and isinstance(rep.monte_carlo_advantage, float)

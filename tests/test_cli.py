@@ -574,7 +574,8 @@ class TestMain:
     def test_oversize_family_refused_before_drawing(self, monkeypatch, capsys):
         # K x N signs above NORM_MAX_DIM^2 entries, here 8^2 = 64: exit 3, not a MemoryError.
         monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
-        assert _main_io(["game", "--K", "8", "--N", "8", "--trials", "10"])[0] == 0  # 64 signs
+        # 64 signs, and 64 family images at M = 8 (see test_oversize_family_images_refused)
+        assert _main_io(["game", "--K", "8", "--N", "8", "--M", "8", "--trials", "10"])[0] == 0
         calls = []
         monkeypatch.setattr(game, "random_sign_array", lambda *a: calls.append(a))
         code = main(["game", "--K", "9", "--N", "8"])
@@ -583,6 +584,16 @@ class TestMain:
         assert "9 x 8 signs exceeds the budget of 64 entries" in captured.err
         assert captured.out == ""
         assert calls == []
+
+    def test_oversize_family_images_refused(self, monkeypatch, capsys):
+        # K x M images above NORM_MAX_DIM^2 entries, here 8^2 = 64, though K x N = 9 x 1 passes.
+        monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
+        assert _main_io(["game", "--N", "1", "--M", "8", "--K", "8", "--trials", "10"])[0] == 0
+        code = main(["game", "--N", "1", "--M", "8", "--K", "9"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "9 x 8 family-image entries exceed 64" in captured.err
+        assert captured.out == ""
 
     def test_oversize_game_instance_refused_before_drawing(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "adv.json"

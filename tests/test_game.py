@@ -134,6 +134,19 @@ class TestValidatorsAndStates:
         adv = AdversarySpec(V=V, Pi=random_projector(7, 3, RngStream(7)))
         assert adv.weights.sum() == pytest.approx(1 + 6e-9, abs=1e-12)
 
+    def test_family_images_above_the_budget_are_refused_before_the_product(self, monkeypatch):
+        class NoProduct:  # an M x N "matrix" that fails if the product is formed
+            shape = (8, 1)
+
+            def __matmul__(self, other):
+                raise AssertionError("the product was formed")
+
+        monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
+        with pytest.raises(CapacityError, match="72 x 8 family-image entries exceed 64"):
+            game.family_images(NoProduct(), np.ones((8, 9, 1)))  # (8 * 9) x 8 entries
+        V = random_isometry(1, 8, RngStream(8))
+        assert game.family_images(V, np.ones((8, 1))).shape == (8, 8)  # 64 entries
+
     def test_sign_rows_lexicographic(self):
         np.testing.assert_array_equal(
             sign_rows(3), np.array(list(itertools.product((1.0, -1.0), repeat=3)))
@@ -659,8 +672,8 @@ class TestSimulateGame:
 
 
 class TestChunkedScoring:
-    """simulate_game scores each block's b = 1 rows in chunks; the reference draws and
-    scores all of a block's rows at once, from the same streams."""
+    """simulate_game draws and scores each block's b = 1 rows as one chunk: one draw and one
+    `_acceptance` call; the reference spells that out block by block, from the same streams."""
 
     @staticmethod
     def _ones(rng, b, size):  # b = 1 trials of block b, the stream's first draw
@@ -692,7 +705,7 @@ class TestChunkedScoring:
             rng, size = next(
                 (RngStream(seed), s)
                 for seed in range(900, 999)
-                for s in range(1, 2 * last + 64)
+                for s in range(max(1, last), min(2 * last + 64, game._TRIAL_BLOCK + 1))
                 if self._ones(RngStream(seed), 1, s) == last
             )
         trials = game._TRIAL_BLOCK + size
@@ -710,16 +723,15 @@ class TestChunkedScoring:
         monkeypatch.undo()
         assert win == self._one_shot(adv, R, f, trials, rng, spy(want))
         np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
-        rows = [len(p) for p in got[1:]]  # got[0] scores the family's rows
-        assert max(rows) <= game._SCORE_ROWS + 1
-        if last is None:
-            assert max(rows) == game._SCORE_ROWS  # blocks of about 4096 rows, in chunks
-        else:
-            assert rows[-1] == last  # the short last block, as one chunk
+        # got[0] scores the family's rows, then one call per block scores its b = 1 rows.
+        rows = [len(p) for p in got[1:]]
+        assert rows == [self._ones(rng, 0, game._TRIAL_BLOCK), self._ones(rng, 1, size)]
+        if last is not None:
+            assert rows[-1] == last
 
     def test_block_memory_is_bounded(self):
-        # N = 256, 10^5 trials: one chunk of 1024 b = 1 rows, 2 MiB of signs, at a time,
-        # not a block's 4096 (the 8192-trial blocks held about 17 MiB at once).
+        # N = 256, 10^5 trials: one block's b = 1 rows, about 1024 of them and 2 MiB of
+        # signs, at a time (8192-trial blocks scored whole held about 17 MiB at once).
         import tracemalloc
 
         adv = _random_adversary(256, 256, 128, 910)

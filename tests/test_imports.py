@@ -159,6 +159,51 @@ def test_detects_a_tail_report_built_elsewhere(tmp_path):
     assert _tail_report_builders(probe) == ["_tail_report", "width_tail_bench", None]
 
 
+def _constants_and_reads(path):
+    """(UPPER_CASE names assigned at module level, names loaded or read as attributes)."""
+    tree = ast.parse(path.read_text())
+    assigned = set()
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            continue
+        assigned |= {
+            t.id for t in targets if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+        }
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return assigned, reads
+
+
+def test_every_module_constant_is_read():
+    """Deleting a code path deletes its tuning constants: each one is read somewhere in src/."""
+    assigned, reads = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        names, loaded = _constants_and_reads(path)
+        assigned |= {(path.name, name) for name in names}
+        reads |= loaded
+    assert len(assigned) > 20
+    assert sorted(c for c in assigned if c[1] not in reads) == []
+
+
+def test_detects_an_unread_constant(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_BLOCK = 8\nUNREAD: int = 2\nSTALE = 3\nlower = 4\n__all__ = []\n"
+        "def f(x):\n    STALE = 5\n    return x[:_BLOCK] + mod.LIMIT\n"
+    )
+    assigned, reads = _constants_and_reads(probe)
+    assert assigned == {"_BLOCK", "UNREAD", "STALE"}
+    assert sorted(assigned - reads) == ["STALE", "UNREAD"]
+
+
 def test_pyproject_version_is_the_package_version():
     """Every record carries phaselab.__version__; pyproject.toml's must be bumped with it."""
     with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab import numerics
+from phaselab.bench import complex_hoeffding_bench
 from phaselab.numerics import (
     HERMITIAN_BLOCK,
     NORM_MAX_DIM,
@@ -508,6 +509,20 @@ class TestValidators:
         with pytest.raises(ValueError):
             check_unit_vector(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda x: check_unit_vector([x, 0.0]),  # norm x
+            lambda x: tv_distance([x, 0.0], [1.0, 0.0]),  # sum x
+            lambda x: complex_hoeffding_bench([np.sqrt(x), 0.0], 10, RngStream(1)),  # weight x
+        ],
+        ids=["unit-vector", "distribution", "weights"],
+    )
+    def test_every_normalization_is_checked_at_structural_tol(self, check):
+        check(1.0 + 0.9 * numerics.STRUCTURAL_TOL)
+        with pytest.raises(ValueError):
+            check(1.0 + 1.1 * numerics.STRUCTURAL_TOL)
+
     def test_isometry_rejects_nonisometry(self):
         with pytest.raises(ValueError):
             check_isometry(np.ones((3, 2)))
@@ -543,9 +558,9 @@ class TestValidators:
                 seen.append(block.shape)
                 return block.view(np.ndarray)
 
-        def spy(x, y, c):
+        def spy(x, y, c, hermitian=True):
             seen.append(c.shape)
-            return residual(x, y, np.asarray(c).view(Sliced))
+            return residual(x, y, np.asarray(c).view(Sliced), hermitian)
 
         monkeypatch.setattr(numerics, "_lower_residual", spy)
         return seen
@@ -564,17 +579,25 @@ class TestValidators:
         P[200, 3] += 1e-12
         seen = self._residual_blocks(monkeypatch)
         check_projector(P)
-        assert seen == []
+        assert seen == [(300, 300), (128, 300), (128, 300), (44, 300)]  # every column, by row blocks
 
-    def test_projector_check_holds_no_square_temporary(self):
-        P = random_projector(512, 256, RngStream(17))
+    @staticmethod
+    def _check_peak(P):
         tracemalloc.start()
         try:
             check_projector(P)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < P.nbytes  # one 512 x 512 complex matrix, 4 MiB
+
+    def test_projector_check_holds_no_square_temporary(self):
+        P = random_projector(512, 256, RngStream(17))
+        assert self._check_peak(P) < P.nbytes  # one 512 x 512 complex matrix, 4 MiB
+
+    def test_nearly_hermitian_projector_check_holds_no_square_temporary(self):
+        P = random_projector(512, 256, RngStream(17))
+        P[200, 3] += 1e-12  # not P^H bit for bit: every column of each row block
+        assert self._check_peak(P) < P.nbytes
 
     def test_isometry_defect_below_the_first_block_is_rejected(self):
         V = random_isometry(300, 400, RngStream(18))

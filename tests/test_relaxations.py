@@ -270,7 +270,7 @@ class TestTruncatedRelaxation:
         truncated_spectral_relaxation(adv, R, B=1.5, samples=500, rng=RngStream(18))
         assert calls == [(16, 16), (16, 16)]
 
-    @pytest.mark.parametrize("M", [12, 160])  # numpy reuses temporaries only above 256 KiB
+    @pytest.mark.parametrize("M", [12, 160])  # below and above numpy's 256 KiB temporary reuse
     def test_streamed_batches_sum_as_a_list(self, M):
         # Reference: every block gain held in a list, summed by halves, combined as one
         # expression; the streamed blocks give the same value and error bit for bit.  700
@@ -287,9 +287,9 @@ class TestTruncatedRelaxation:
         plain = relaxations._weight_basis(adv, advantage_kernel(adv, R))
         D = rescaling_diagonals(adv, R)[0]
         gain = relaxations._clip_gain(D, B) / len(D) - (first + second) / samples
-        value = operator_norm(plain + adv.Pi * relaxations._hermitian_part(gain))
+        value = operator_norm(plain + relaxations._hermitian_part(gain) * adv.Pi)
         diff = first * (444 / 256) - second
-        error = operator_norm(adv.Pi * relaxations._hermitian_part(diff) / (2 * 444))
+        error = operator_norm(relaxations._hermitian_part(diff) * adv.Pi / (2 * 444))
         assert error > 0.0
         assert truncated_spectral_relaxation(adv, R, B, samples, rng=rng) == (value, error)
 
@@ -618,6 +618,32 @@ class TestSubsetNormConjecture:
         states = _unit_states(N, K, seed + 1)
         terms = relaxations._subset_value_terms(projs, states)
         assert subset_norm_conjecture(projs, states, mode="brute") == _reference_brute(terms)
+
+    def test_pass_two_norms_only_the_sums_whose_bound_reaches_the_cut(self, monkeypatch):
+        # P = 8, L = 8: one block of 256 sums, of which 250 reach the cut, so more than half
+        # the block and not all of it is normed.
+        projs = _projector_resolution(32, 8, 3)
+        terms = relaxations._subset_value_terms(projs, _unit_states(4, 3, 4))
+        bounds, norms = [], []
+        norm_bounds = relaxations._norm_bounds
+
+        def bound_spy(S):
+            b, allowance = norm_bounds(S)
+            bounds.append(b + allowance)
+            return b, allowance
+
+        def norm_spy(m):
+            norms.append(operator_norm(m))
+            return norms[-1]
+
+        monkeypatch.setattr(relaxations, "_norm_bounds", bound_spy)
+        monkeypatch.setattr(relaxations, "operator_norm", norm_spy)
+        assert relaxations._brute_subset_max(terms) == _reference_brute(terms)
+        # Pass 1 norms the block's top-bound sum alone, pass 2 every sum reaching the cut.
+        assert len(bounds) == 1 and [len(v) for v in norms[:1]] == [1]
+        kept = int(np.count_nonzero(bounds[0] >= norms[0][0] - 1e-12))
+        assert [len(v) for v in norms[1:]] == [kept]
+        assert 128 < kept < 256
 
     def test_near_tie_chain_takes_every_norm(self):
         # 1 x 1 terms: one large value and steps 0.9e-15 * 2^i, so the subset norms form a
