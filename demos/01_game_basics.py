@@ -5,7 +5,7 @@ phase state of a random family member or a fresh uniformly random phase
 state; a one-query adversary (isometry V, projector Pi, oracle sign pattern
 f) must say which.  This script builds a small random instance, evaluates the
 advantage at a fixed f, finds the best f exactly and by local search, and
-confirms the Monte Carlo win rate tracks 1/2 + gap/2.
+plays the game, whose win count is drawn from its law around 1/2 + gap/2.
 """
 
 import numpy as np

@@ -6,7 +6,8 @@ uniform phase states do not.  The total-variation distance between the two
 outcome distributions is exactly the best achievable advantage of this
 attack, and it decays like 1/sqrt(K) as the family grows.  The attack also
 embeds into the game formalism via a phase-kickback encoding, which this
-script cross-checks against the closed form and a Monte Carlo run.
+script cross-checks against the closed form and plays once (a draw around
+the encoding's exact gap).
 """
 
 import numpy as np

@@ -114,8 +114,9 @@ def hadamard_attack_report(
     """Aggregate Hadamard-attack statistics over fresh random families.
 
     Reports the mean exact (TV) advantage over `draws` families of shape
-    K x 2^n, a Monte Carlo game cross-check on the first family (None with no
-    trials), and the sample mean/variance of the X statistic across the draws
+    K x 2^n; `monte_carlo_advantage`, 2 win - 1 of `simulate_game` on the first
+    family's encoding, a draw around that encoding's exact gap (None with no
+    trials); and the sample mean/variance of the X statistic across the draws
     (the variance None with one draw).  The families are one draw from
     rng.child(0), the game's trials read rng.child(1).  Their draws * K * 2^n signs
     are refused above NORM_MAX_DIM^2 entries, the largest matrix operator_norm takes.

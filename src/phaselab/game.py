@@ -38,7 +38,6 @@ from .numerics import (
     RngStream,
     check_projector,
     isometry_weights,
-    parallel_blocks,
     random_sign_array,
     rounding_allowance,
 )
@@ -69,7 +68,6 @@ BRUTEFORCE_CUTOFF = 28
 _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran slower
 _DIRECTIONS = 8  # complex bound, 1/cos(pi/16) - 1 = 2 % loose: 4 and 16 ran slower at M = 22
 _SEED_ROWS = 32  # top-bound rows scored for the cut: 128 ran slower at M = 18-22
-_TRIAL_BLOCK = 2048  # trials per block, one stream each: about 1024 b = 1 rows, 2 MiB at N = 256
 
 
 def _check_sign_array(values, ndim: int, what: str) -> np.ndarray:
@@ -442,30 +440,23 @@ def max_advantage_localsearch(adv: AdversarySpec, R, restarts: int = 20, *, rng:
 
 
 def simulate_game(adv: AdversarySpec, R, f, trials: int, rng: RngStream) -> float:
-    """Monte Carlo play of the distinguishing game; returns the win frequency.
+    """Play the distinguishing game `trials` times; returns the win frequency.
 
     Each trial: the challenger flips b; on b = 0 it sends |psi_{R_k}> for a
     random row k, on b = 1 a fresh random phase state (the adversary's view is
     identical to the random-basis-state challenger).  The adversary measures
     Pi on O_f V |psi> and answers 0 on acceptance, with probability
-    h^T Q_f h / N.  Block b of _TRIAL_BLOCK trials draws from rng.child(b); it draws
-    all its b = 1 trials' random phase states at once and scores them in one GEMM.
+    h^T Q_f h / N.  A random phase state averages to the maximally mixed state,
+    so a trial is won with probability w = (1 + E_k p(R_k | f) - tr(Q_f) / N) / 2
+    independently of the others, and the win count is Binomial(trials, w): one
+    draw from rng.generator().  Both terms are checked and clamped by
+    `_acceptance`.  A game scored trial by trial would clamp each p(h) instead of
+    their mean tr(Q_f) / N; a clamped mean differs from the mean of clamped values by
+    at most that routine's tol = (1 + N DERIVED_TOL)(1 + M DERIVED_TOL) - 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     Rv = check_family(R)
     Q = _acceptance_form(adv, f)
-    p_rows = _acceptance(adv, Q, Rv)
-
-    def run_block(b: int, size: int) -> int:
-        g = rng.child(b).generator()
-        ones = g.integers(0, 2, size=size) == 1
-        ks = g.integers(0, Rv.shape[0], size=size)
-        u = g.random(size)
-        p = p_rows[ks]
-        p[ones] = _acceptance(adv, Q, random_sign_array(g, (int(ones.sum()), adv.N)))
-        # The adversary answers 1 (b = 1) exactly when it does not accept.
-        return int(np.sum((u >= p) == ones))
-
-    wins = sum(parallel_blocks(run_block, trials, _TRIAL_BLOCK))
-    return wins / trials
+    w = 0.5 * (1.0 + np.mean(_acceptance(adv, Q, Rv)) - _acceptance(adv, Q)[0])
+    return rng.generator().binomial(trials, w) / trials

@@ -26,6 +26,7 @@ from phaselab.game import (
     simulate_game,
 )
 from phaselab.numerics import (
+    DERIVED_TOL,
     CapacityError,
     RngStream,
     random_isometry,
@@ -630,6 +631,28 @@ class TestStackedSearch:
             assert gaps[k] == advantage_given_f(adv, R, f)
 
 
+def _law(adv, R, f):
+    """The game's win probability from the public routines: (1 + E_k p(R_k | f) - E_h p(h | f)) / 2."""
+    fam = np.mean([acceptance_probability(adv, r, f) for r in R])
+    return 0.5 * (1.0 + fam - haar_average_acceptance(adv, f))
+
+
+def _play(adv, R, f, trials, rng):
+    """Independent route to the game, with no Q_f: each trial draws b, a row k or random signs
+    h, and u, forms w = O_f V |psi>, and accepts when u < <w|Pi|w>.  Every sampled acceptance
+    is range-checked at `_acceptance`'s tolerance.  Returns (trials won, b = 0 mask)."""
+    g = rng.generator()
+    zeros = g.integers(0, 2, size=trials) == 0
+    H = R[g.integers(0, len(R), size=trials)]
+    H[~zeros] = random_sign_array(g, (int(np.sum(~zeros)), adv.N))
+    u = g.random(trials)
+    W = (H / np.sqrt(adv.N)) @ (f[:, None] * adv.V).T  # row t is O_f V |psi_t>
+    p = np.real(np.einsum("ti,ti->t", W.conj(), W @ adv.Pi.T))  # <w|Pi|w> per row
+    tol = (1.0 + adv.N * DERIVED_TOL) * (1.0 + adv.M * DERIVED_TOL) - 1.0
+    assert np.all((p >= -tol) & (p <= 1.0 + tol))
+    return (u < p) == zeros, zeros
+
+
 class TestSimulateGame:
     def test_win_rate_tracks_half_plus_half_gap(self):
         adv = _random_adversary(8, 12, 6, 60)
@@ -651,19 +674,18 @@ class TestSimulateGame:
         )
 
     def test_accept_always_and_never_split_the_challenge_bits(self):
-        # Pi = I accepts every state, so it wins exactly the b = 0 trials;
-        # Pi = 0 never accepts and wins exactly the b = 1 trials of the same stream.
+        # Pi = I accepts every state and Pi = 0 none, so each wins exactly one challenge bit:
+        # a trial is won with probability 1/2 on both sides, and the count is that law's draw.
         V = random_isometry(8, 8, RngStream(74))
         R = random_family(4, 8, RngStream(75))
         f = random_sign_array(RngStream(76).generator(), 8)
         trials = 40_000
-        wins = [
-            simulate_game(AdversarySpec(V=V, Pi=Pi), R, f, trials, RngStream(77)) * trials
-            for Pi in (np.eye(8), np.zeros((8, 8)))
-        ]
-        assert wins[0] + wins[1] == pytest.approx(trials, abs=1e-6)
-        for w in wins:
-            assert abs(w / trials - 0.5) <= 5 * 0.5 / np.sqrt(trials)
+        for Pi in (np.eye(8), np.zeros((8, 8))):
+            adv = AdversarySpec(V=V, Pi=Pi)
+            w = _law(adv, R, f)
+            assert abs(w - 0.5) <= 1e-15
+            draw = RngStream(77).generator().binomial(trials, w) / trials
+            assert simulate_game(adv, R, f, trials, RngStream(77)) == draw
 
     def test_rejects_bad_trials(self):
         adv = _random_adversary(4, 6, 3, 73)
@@ -672,78 +694,84 @@ class TestSimulateGame:
 
 
 class TestChunkedScoring:
-    """simulate_game draws and scores each block's b = 1 rows as one chunk: one draw and one
-    `_acceptance` call; the reference spells that out block by block, from the same streams."""
+    """simulate_game draws its win count from the game's law: one Binomial(trials, w) draw
+    from the stream's generator, with w from the public acceptance routines, and no trial loop."""
 
-    @staticmethod
-    def _ones(rng, b, size):  # b = 1 trials of block b, the stream's first draw
-        return int(np.sum(rng.child(b).generator().integers(0, 2, size=size) == 1))
-
-    @staticmethod
-    def _one_shot(adv, R, f, trials, rng, accept):
-        Q = game._acceptance_form(adv, f)
-        p_rows, wins = accept(adv, Q, R), 0
-        for b, start in enumerate(range(0, trials, game._TRIAL_BLOCK)):
-            size = min(game._TRIAL_BLOCK, trials - start)
-            g = rng.child(b).generator()
-            ones = g.integers(0, 2, size=size) == 1
-            ks = g.integers(0, len(R), size=size)
-            u = g.random(size)
-            p = p_rows[ks]
-            p[ones] = accept(adv, Q, random_sign_array(g, (int(ones.sum()), adv.N)))
-            wins += int(np.sum((u >= p) == ones))
-        return wins / trials
-
-    @pytest.mark.parametrize("N", [12, 256])  # 12 * 1024 bits is whole words, 12 is not
-    @pytest.mark.parametrize("last", [None, 1025, 0, 1])  # b = 1 rows of a short last block
-    def test_equals_one_shot_scoring_bit_for_bit(self, N, last, monkeypatch):
+    @pytest.mark.parametrize("N", [12, 256])
+    @pytest.mark.parametrize("seed", [None, 1025, 0, 1])  # None: a child stream
+    def test_equals_one_shot_scoring_bit_for_bit(self, N, seed):
         adv = _random_adversary(N, N, N // 2, 901)
         R = random_family(8, N, RngStream(902))
         f = random_sign_array(RngStream(903).generator(), N)
-        rng, size = RngStream(900), game._TRIAL_BLOCK
-        if last is not None:  # the first stream and size whose last block has `last` such rows
-            rng, size = next(
-                (RngStream(seed), s)
-                for seed in range(900, 999)
-                for s in range(max(1, last), min(2 * last + 64, game._TRIAL_BLOCK + 1))
-                if self._ones(RngStream(seed), 1, s) == last
-            )
-        trials = game._TRIAL_BLOCK + size
-        accept, got, want = game._acceptance, [], []
-
-        def spy(into):
-            def call(*args):
-                into.append(accept(*args))
-                return into[-1]
-
-            return call
-
-        monkeypatch.setattr(game, "_acceptance", spy(got))
-        win = simulate_game(adv, R, f, trials, rng)
-        monkeypatch.undo()
-        assert win == self._one_shot(adv, R, f, trials, rng, spy(want))
-        np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
-        # got[0] scores the family's rows, then one call per block scores its b = 1 rows.
-        rows = [len(p) for p in got[1:]]
-        assert rows == [self._ones(rng, 0, game._TRIAL_BLOCK), self._ones(rng, 1, size)]
-        if last is not None:
-            assert rows[-1] == last
+        rng = RngStream(900).child(3) if seed is None else RngStream(seed)
+        w = _law(adv, R, f)
+        for trials in (1, 2047, 100_000):
+            want = rng.generator().binomial(trials, w) / trials
+            assert simulate_game(adv, R, f, trials, rng) == want
 
     def test_block_memory_is_bounded(self):
-        # N = 256, 10^5 trials: one block's b = 1 rows, about 1024 of them and 2 MiB of
-        # signs, at a time (8192-trial blocks scored whole held about 17 MiB at once).
+        # N = 256: the peak is forming Q_f, whatever the trial count; 10^7 trials held as
+        # one array of any dtype would add at least 10 MB.
         import tracemalloc
 
         adv = _random_adversary(256, 256, 128, 910)
         R = random_family(16, 256, RngStream(911))
         f = random_sign_array(RngStream(912).generator(), 256)
-        tracemalloc.start()
-        try:
-            simulate_game(adv, R, f, 100_000, RngStream(913))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 << 20
+        simulate_game(adv, R, f, 1000, RngStream(913))  # first-call allocations
+        peaks = []
+        for trials in (1000, 10**7):
+            tracemalloc.start()
+            try:
+                simulate_game(adv, R, f, trials, RngStream(913))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1024
+        # 10^12 trials cost one draw; a trial loop would run for hours.
+        win = simulate_game(adv, R, f, 10**12, RngStream(914))
+        assert win == RngStream(914).generator().binomial(10**12, _law(adv, R, f)) / 10**12
+
+
+class TestStateVectorPlayer:
+    """The game played state by state (`_play`) wins at the closed-form rate (1 + gap) / 2,
+    with the gap from the advantage kernel: a route through neither Q_f nor simulate_game."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (_random_adversary(8, 12, 6, 1500), random_family(4, 8, RngStream(1501))),
+            lambda: (_random_adversary(12, 16, 5, 1510), random_family(6, 12, RngStream(1511))),
+            lambda: (_random_adversary(16, 24, 12, 1520), random_family(3, 16, RngStream(1521))),
+            lambda: (None, random_family(4, 16, RngStream(1530))),  # Hadamard encoding, n = 4
+        ],
+        ids=["N8-M12", "N12-M16", "N16-M24", "hadamard-n4"],
+    )
+    def test_win_rate_within_five_sigma_of_the_law(self, make):
+        adv, R = make()
+        if adv is None:
+            adv, f = phaselab.hadamard_game_encoding(R)
+        else:
+            f = random_sign_array(RngStream(1540).generator(), adv.M)
+        gap = kernel_quadratic_form(advantage_kernel(adv, R), f)
+        trials, w = 40_000, 0.5 * (1.0 + gap)
+        won, _ = _play(adv, R, f, trials, RngStream(1541))
+        assert abs(np.mean(won) - w) <= 5.0 * np.sqrt(w * (1.0 - w) / trials)
+
+    def test_accept_always_and_never_split_the_challenge_bits(self):
+        # Pi = I wins exactly the b = 0 trials; Pi = 0 wins exactly the b = 1 trials of the
+        # same stream.
+        V = random_isometry(8, 8, RngStream(74))
+        R = random_family(4, 8, RngStream(75))
+        f = random_sign_array(RngStream(76).generator(), 8)
+        trials = 40_000
+        plays = [
+            _play(AdversarySpec(V=V, Pi=Pi), R, f, trials, RngStream(77))
+            for Pi in (np.eye(8), np.zeros((8, 8)))
+        ]
+        (won_all, zeros), (won_none, _) = plays
+        np.testing.assert_array_equal(won_all, zeros)
+        np.testing.assert_array_equal(won_none, ~zeros)
+        assert abs(np.mean(zeros) - 0.5) <= 5 * 0.5 / np.sqrt(trials)
 
 
 def _read_only(a):
