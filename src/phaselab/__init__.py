@@ -86,7 +86,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 __all__ = [
     "__version__",

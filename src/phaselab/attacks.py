@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 BV_DIMENSION_CAP = 1 << 16
+FWHT_CHUNK = 1 << 16  # entries per transposed chunk: 2^12 ran 1.9x, 2^14 and 2^18 1.3x slower
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,37 @@ class HadamardAttackReport:
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis."""
+    """Unnormalized fast Walsh-Hadamard transform along the last axis, as a float64 copy.
+
+    Stage h = 1, 2, 4, ... maps each pair (a_j, a_{j+h}), bit h of j clear, to
+    (a_j + a_{j+h}, a_j - a_{j+h}).  Rows run in chunks of at most FWHT_CHUNK entries
+    (one row if longer), each copied as an (N, rows) array so that a stage adds whole
+    contiguous rows; each entry sees the same operations in the same order as on the
+    full array.  Peak memory: the output, one chunk, its half-size temporary and
+    numpy's buffers for the overlapping stage views (7.3 MiB for a 6.25 MiB output).
+    """
+    if np.ndim(a) == 0:
+        raise ValueError("fwht needs at least one axis, got a 0-d input")
+    if np.iscomplexobj(a):
+        raise ValueError("fwht takes real input; a complex input would lose its imaginary part")
     a = np.array(a, dtype=np.float64, copy=True)
     N = a.shape[-1]
     if N < 1 or N & (N - 1):
         raise ValueError(f"dimension {N} is not a power of two")
-    h = 1
-    while h < N:
-        shape = a.shape[:-1] + (N // (2 * h), 2, h)
-        b = a.reshape(shape)
-        top = b[..., 0, :] + b[..., 1, :]
-        np.subtract(b[..., 0, :], b[..., 1, :], out=b[..., 1, :])
-        b[..., 0, :] = top
-        del top  # one half-size temporary at a time: a stack of families is several MiB
-        h *= 2
+    rows = a.reshape(-1, N)
+    step = max(1, FWHT_CHUNK // N)
+    for r in range(0, rows.shape[0], step):
+        t = rows[r : r + step].T.copy()  # (N, c): entry j of every row is one contiguous run
+        h = 1
+        while h < N:
+            b = t.reshape(N // (2 * h), 2, -1)
+            top = b[:, 0] + b[:, 1]
+            np.subtract(b[:, 0], b[:, 1], out=b[:, 1])
+            b[:, 0] = top
+            del top  # one half-size temporary at a time
+            h *= 2
+        rows[r : r + step] = t.T
+        del t  # freed before the next chunk is copied
     return a
 
 

@@ -4,7 +4,8 @@ Instances (adversaries, function families) round-trip through a JSON format
 with parallel real/imaginary flat arrays in row-major order; families are
 flat +-1 integer arrays.  Every run emits one self-describing JSON record per
 line: config echo, measured values, wall time, version, RNG fingerprint and
-environment (Python, numpy and its BLAS, PHASELAB_THREADS, CPU count).
+environment (Python, numpy and its BLAS, PHASELAB_THREADS and the BLAS thread
+variables, CPU count).
 Identical configs byte-reproduce all measured values regardless of the
 thread count in PHASELAB_THREADS.
 """
@@ -320,8 +321,8 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        THREADS_ENV: os.environ.get(THREADS_ENV),
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        **{v: os.environ.get(v) for v in (THREADS_ENV, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "cpu_count": os.cpu_count(),
     }
 

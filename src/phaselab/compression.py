@@ -98,7 +98,10 @@ def verify_one_query_simulation(V, L: int, trials: int, rng: RngStream) -> float
     vectors Phi_{f,x} = (O_f tensor Id) V |x> and their compressed analogues
     must have identical pairwise inner products; the returned maximum
     deviation certifies that every one-query measurement statistic survives
-    compression.  V may be a spec; only its isometry is read.
+    compression.  V may be a spec; only its isometry is read.  Trials run in
+    blocks of up to SAMPLE_BLOCK (see parallel_blocks); a block maps its input
+    states through V and through compress(V) with one matrix product each and
+    applies the signs by broadcasting.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -114,8 +117,9 @@ def verify_one_query_simulation(V, L: int, trials: int, rng: RngStream) -> float
         F = random_sign_array(g, (size, 2, L))  # per trial, rows f1 and f2
         xy = g.standard_normal((size, 2, D)) + 1j * g.standard_normal((size, 2, D))
         xy /= np.linalg.norm(xy, axis=2, keepdims=True)  # per trial, rows x and y
-        phi = np.repeat(F, S, axis=2) * (xy @ Vm.T)
-        chat = np.repeat(F, D, axis=2) * (xy @ W.T)
+        xy = xy.reshape(2 * size, D)  # one product for the block, not one per trial
+        phi = (F[..., None] * (xy @ Vm.T).reshape(size, 2, L, S)).reshape(size, 2, M)
+        chat = (F[..., None] * (xy @ W.T).reshape(size, 2, L, D)).reshape(size, 2, L * D)
         dev = np.abs(
             np.sum(phi[:, 0].conj() * phi[:, 1], axis=1)
             - np.sum(chat[:, 0].conj() * chat[:, 1], axis=1)

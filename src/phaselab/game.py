@@ -408,33 +408,38 @@ def max_advantage_localsearch(adv: AdversarySpec, R, restarts: int = 20, *, rng:
 
     Restart r starts from row r of one restarts x M sign draw from rng.generator()
     and repeatedly takes the best single-coordinate flip that increases |f^T B f|,
-    using O(M) updates of the gradient g = B f.  The restarts climb in lockstep,
-    one array step for those still climbing; the first with the largest value
-    wins.  The result is locally maximal, hence always <= the true maximum.
+    using O(M) updates of the gradient.  Its first gradient is its own B @ f; the
+    climb reads only Re(B f), so it carries that alone, updated from the real
+    columns of B.  The restarts still climbing take each step together over
+    compact arrays, compacted only at a step where one stops; the first with the
+    largest value wins.  The result is locally maximal, hence always <= the true
+    maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     B = advantage_kernel(adv, check_family(R))
     m = B.shape[0]
     diag = np.real(np.diagonal(B))
-    cols = np.ascontiguousarray(B.T)  # cols[i] = B[:, i]
+    cols = np.ascontiguousarray(B.real.T)  # cols[i] = Re B[:, i]
     F = random_sign_array(rng.generator(), (restarts, m))
     G = np.array([B @ f for f in F])
     q = np.array([np.real(f @ g) for f, g in zip(F, G)])
-    live = np.arange(restarts)
+    live, f, g, q_live = np.arange(restarts), F.copy(), G.real.copy(), q.copy()
     while live.size:
-        f, q_live = F[live], q[live]
         # Flipping coordinate i changes q by -2 f_i s_i.
-        s = 2.0 * G.real[live] - 2.0 * diag * f
+        s = 2.0 * g - 2.0 * diag * f
         cand = np.abs(q_live[:, None] - 2.0 * f * s)
         i = np.argmax(cand, axis=1)
         rows = np.arange(live.size)
+        fi, si = f[rows, i], s[rows, i]
         up = cand[rows, i] > np.abs(q_live) + 1e-12  # a lower bound: stops on rounding noise
-        live, i, rows = live[up], i[up], rows[up]
-        fi = f[rows, i]
-        G[live] -= 2.0 * fi[:, None] * cols[i]
-        q[live] = q_live[rows] - 2.0 * fi * s[rows, i]
-        F[live, i] = -fi
+        if not up.all():  # keep the stopped restarts' results, then compact the climbing ones
+            F[live[~up]], q[live[~up]] = f[~up], q_live[~up]
+            live, f, g, q_live, i, fi, si = (a[up] for a in (live, f, g, q_live, i, fi, si))
+            rows = rows[: live.size]
+        g -= 2.0 * fi[:, None] * cols[i]
+        q_live -= 2.0 * fi * si
+        f[rows, i] = -fi
     best = int(np.argmax(np.abs(q)))
     return float(abs(q[best])), F[best]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from phaselab import attacks, numerics
 from phaselab.attacks import (
     BV_DIMENSION_CAP,
+    FWHT_CHUNK,
     advice_state_adversary,
     bv_query_dimension,
     fwht,
@@ -29,7 +31,53 @@ def _parity_row(n, alpha):
     return np.where(np.bitwise_count(np.bitwise_and(x, alpha)) % 2 == 0, 1.0, -1.0)
 
 
+def _butterfly_fwht(a):
+    """The 0.21.0 fwht: each stage on the (..., N // 2h, 2, h) view of the whole array."""
+    a = np.array(a, dtype=np.float64, copy=True)
+    N = a.shape[-1]
+    h = 1
+    while h < N:
+        b = a.reshape(a.shape[:-1] + (N // (2 * h), 2, h))
+        top = b[..., 0, :] + b[..., 1, :]
+        np.subtract(b[..., 0, :], b[..., 1, :], out=b[..., 1, :])
+        b[..., 0, :] = top
+        h *= 2
+    return a
+
+
 class TestFwht:
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (2,), (64,), (3, 1), (5, 2), (200, 16, 256)]
+        + [(3, FWHT_CHUNK // 16 + 1, 16), (1, 1 << 17), (0, 8)],
+    )
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_matches_the_butterfly_loop(self, shape, kind):
+        # (3, 4097, 16) is 12291 rows of 16: rows per chunk do not divide it.
+        g = np.random.default_rng(len(shape) + shape[-1])
+        a = g.integers(-5, 6, size=shape) if kind == "int" else g.standard_normal(shape)
+        out = fwht(a)
+        assert out.dtype == np.float64 and out.shape == a.shape
+        np.testing.assert_array_equal(out, _butterfly_fwht(a))
+
+    def test_peak_memory_is_the_output_and_one_chunk(self):
+        # The attack's stack: the output copy is 6.25 MiB.  The stages hold one chunk,
+        # its half-size sum and numpy's buffers for overlapping views; the 0.21.0 loop
+        # held a half-size temporary of the whole stack (9.6 MiB in all).
+        R = random_family(200 * 16, 256, RngStream(4)).reshape(200, 16, 256)
+        tracemalloc.start()
+        try:
+            fwht(R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.nbytes + 3 * FWHT_CHUNK * 8
+
+    @pytest.mark.parametrize("bad", [np.float64(3.0), 3, [1 + 1j, 2], np.ones(4, dtype=complex)])
+    def test_rejects_0d_and_complex_input(self, bad):
+        with pytest.raises(ValueError, match="0-d|complex"):
+            fwht(bad)
+
     def test_matches_dense_hadamard(self):
         n = 3
         N = 1 << n

@@ -128,13 +128,30 @@ class TestRun:
             "rng_fingerprint",
             "env",
         }
-        assert set(record["env"]) == {"python", "numpy", "blas", "PHASELAB_THREADS", "cpu_count"}
+        assert set(record["env"]) == {
+            "python",
+            "numpy",
+            "blas",
+            "PHASELAB_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "OMP_NUM_THREADS",
+            "cpu_count",
+        }
+        assert set(record["env"]["blas"]) == {"name", "version", "openblas configuration"}
         assert record["env"]["numpy"] == np.__version__
         assert record["values"]["method"] == "bruteforce"
         assert 0.0 <= record["values"]["max_advantage"] <= 1.0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == "game"
+
+    def test_env_records_blas_threads_as_set(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        env = cli._environment()
+        assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"]["openblas configuration"] == blas.get("openblas configuration")
 
     def test_game_exact_up_to_cutoff(self):
         cfg = ExperimentConfig(

@@ -13,7 +13,37 @@ from phaselab.compression import (
     verify_one_query_simulation,
 )
 from phaselab.game import AdversarySpec
-from phaselab.numerics import RngStream, random_isometry, random_projector
+from phaselab.numerics import (
+    RngStream,
+    check_isometry,
+    parallel_blocks,
+    random_isometry,
+    random_projector,
+    random_sign_array,
+)
+
+
+def _stacked_simulation(V, L, trials, rng):
+    """The 0.21.0 verify_one_query_simulation: per-trial stacked products, signs by np.repeat."""
+    Vm = check_isometry(V)
+    M, D = Vm.shape
+    S = M // L
+    W = compress_isometry(V, L, S)
+
+    def run_block(b, size):
+        g = rng.child(b).generator()
+        F = random_sign_array(g, (size, 2, L))
+        xy = g.standard_normal((size, 2, D)) + 1j * g.standard_normal((size, 2, D))
+        xy /= np.linalg.norm(xy, axis=2, keepdims=True)
+        phi = np.repeat(F, S, axis=2) * (xy @ Vm.T)
+        chat = np.repeat(F, D, axis=2) * (xy @ W.T)
+        dev = np.abs(
+            np.sum(phi[:, 0].conj() * phi[:, 1], axis=1)
+            - np.sum(chat[:, 0].conj() * chat[:, 1], axis=1)
+        )
+        return float(dev.max())
+
+    return max(parallel_blocks(run_block, trials))
 
 
 class TestMeasurementOperators:
@@ -104,6 +134,19 @@ class TestOneQuerySimulation:
             Pi=random_projector(32, 16, rng.child(1)),
         )
         assert verify_one_query_simulation(adv, 8, 10, rng.child(2)) < 1e-10
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "D, L, S, trials",
+        [(1, 1, 1, 1), (1, 4, 2, 70), (3, 1, 8, 64), (4, 8, 4, 130), (16, 4, 16, 7), (64, 4, 16, 65)],
+    )
+    def test_matches_the_stacked_loop(self, monkeypatch, threads, D, L, S, trials):
+        # Trial counts above 64 end in a shorter block; 65 ends in a block of one.
+        V = random_isometry(D, L * S, RngStream(D + L + S))
+        monkeypatch.setenv(numerics.THREADS_ENV, "1")
+        want = _stacked_simulation(V, L, trials, RngStream(trials))
+        monkeypatch.setenv(numerics.THREADS_ENV, threads)
+        assert verify_one_query_simulation(V, L, trials, RngStream(trials)) == want
 
     def test_identity_like_isometry(self):
         # S = 1: compression is only a basis change, deviation stays tiny.

@@ -84,6 +84,36 @@ def _reference_localsearch(B, restarts, rng):
     return best_val, best_f
 
 
+def _gather_localsearch(B, restarts, rng):
+    """The 0.21.0 lockstep climb, gathering the live rows of full arrays and a complex G.
+
+    Also returns each restart's step count.
+    """
+    m = B.shape[0]
+    diag = np.real(np.diagonal(B))
+    cols = np.ascontiguousarray(B.T)
+    F = random_sign_array(rng.generator(), (restarts, m))
+    G = np.array([B @ f for f in F])
+    q = np.array([np.real(f @ g) for f, g in zip(F, G)])
+    steps = np.zeros(restarts, dtype=int)
+    live = np.arange(restarts)
+    while live.size:
+        f, q_live = F[live], q[live]
+        s = 2.0 * G.real[live] - 2.0 * diag * f
+        cand = np.abs(q_live[:, None] - 2.0 * f * s)
+        i = np.argmax(cand, axis=1)
+        rows = np.arange(live.size)
+        up = cand[rows, i] > np.abs(q_live) + 1e-12
+        live, i, rows = live[up], i[up], rows[up]
+        fi = f[rows, i]
+        G[live] -= 2.0 * fi[:, None] * cols[i]
+        q[live] = q_live[rows] - 2.0 * fi * s[rows, i]
+        F[live, i] = -fi
+        steps[live] += 1
+    best = int(np.argmax(np.abs(q)))
+    return float(abs(q[best])), F[best], steps
+
+
 def _random_kernels(shape, m, seed, complex_=False):
     g = np.random.default_rng(seed)
     K = g.standard_normal((*shape, m, m))
@@ -338,7 +368,7 @@ class TestLocalSearch:
 
 
 class TestLockstepLocalSearch:
-    """The lockstep climb equals the per-restart loop bit for bit, value and witness."""
+    """The compacted climb equals the per-restart and gather loops bit for bit, value and witness."""
 
     @staticmethod
     def _run(monkeypatch, B, restarts, seed):
@@ -372,6 +402,19 @@ class TestLockstepLocalSearch:
         ref_val, ref_f = _reference_localsearch(B, 6, RngStream(3))
         assert val == ref_val
         np.testing.assert_array_equal(f, ref_f)
+
+    @pytest.mark.parametrize("m", [8, 64, 512])
+    @pytest.mark.parametrize("restarts", [1, 20])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_gather_loop(self, monkeypatch, m, restarts, seed):
+        K = _random_kernels((), m, 100 + seed, complex_=True)
+        B = K + K.conj().T
+        val, f = self._run(monkeypatch, B, restarts, seed)
+        ref_val, ref_f, steps = _gather_localsearch(B, restarts, RngStream(seed))
+        assert val == ref_val
+        np.testing.assert_array_equal(f, ref_f)
+        if restarts > 1:  # the compaction ran: restarts stopped at different steps
+            assert len(set(steps.tolist())) > 1
 
     def test_on_an_adversary_kernel(self):
         adv = _random_adversary(16, 48, 24, 90)
