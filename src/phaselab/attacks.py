@@ -111,7 +111,9 @@ def hadamard_game_encoding(R) -> tuple[AdversarySpec, np.ndarray]:
     the ancilla back onto |minus>.  Acceptance probability then equals the
     probability the measured y falls in the "family side" set, matching the
     classify-and-output-0 behavior; the optimal classifier keeps y with
-    outcome probability at least uniform.  A 2N x 2N Pi above `check_norm_budget` is refused first.
+    outcome probability at least uniform.  Pi = W W^H is held by its factor
+    W = Id_N tensor |minus> (`AdversarySpec.from_factor`).  A 2N above `check_norm_budget`
+    is refused first.
     """
     N = check_family(R).shape[1]
     check_norm_budget((2 * N, 2 * N))
@@ -119,11 +121,11 @@ def hadamard_game_encoding(R) -> tuple[AdversarySpec, np.ndarray]:
     H = fwht(np.eye(N)) / np.sqrt(N)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     V = np.kron(H, minus[:, None]).astype(np.complex128)  # index (y, a) -> 2y + a
-    Pi = np.kron(np.eye(N), np.outer(minus, minus)).astype(np.complex128)
+    W = np.kron(np.eye(N), minus[:, None]).astype(np.complex128)
     keep = m >= 1.0 / N  # classifier: output 0 (family side) on these y
     f = np.ones(2 * N)
     f[1::2] = np.where(keep, 1.0, -1.0)
-    return AdversarySpec(V=V, Pi=Pi), f
+    return AdversarySpec.from_factor(V, W), f
 
 
 def hadamard_attack_report(
@@ -154,7 +156,7 @@ def hadamard_attack_report(
             f"{budget} entries"
         )
     if trials > 0:
-        check_norm_budget((2 << n, 2 << n))  # the game encoding is a dense 2N x 2N projector
+        check_norm_budget((2 << n, 2 << n))  # the game encoding's dimension 2N
     R = random_family(draws * K, 1 << n, rng.child(0)).reshape(draws, K, 1 << n)
     # Rebinding R frees the stack, so it is not alive while the game runs.
     exacts, xs, R = hadamard_attack_exact_advantage(R), x_statistic(R), R[0].copy()
@@ -179,20 +181,20 @@ def x_statistic(R):
 
 
 def _family_span(R) -> np.ndarray:
-    """Orthonormal basis of the span of the family's phase states."""
+    """Orthonormal basis of the span of the family's phase states, from a thin SVD."""
     Rv = check_family(R)
-    return span_basis(np.stack([phase_state(row) for row in Rv], axis=1))[0]
+    return span_basis(np.stack([phase_state(row) for row in Rv], axis=1), complement=False)[0]
 
 
 def omniscient_distinguisher(R) -> AdversarySpec:
-    """Projector onto the span of the family's states (V = Id).
+    """Projector onto the span of the family's states (V = Id), held by its basis q.
 
     Accepts with probability 1 on every family state and with probability
     rank/N on the random side, so with the trivial oracle its advantage is
     exactly 1 - rank/N -- the information-theoretic optimum for this family.
     """
     q = _family_span(R)
-    return AdversarySpec(V=np.eye(q.shape[0], dtype=np.complex128), Pi=q @ q.conj().T)
+    return AdversarySpec.from_factor(np.eye(q.shape[0], dtype=np.complex128), q)
 
 
 def omniscient_advantage(R) -> float:

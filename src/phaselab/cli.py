@@ -36,7 +36,7 @@ from .game import (
     simulate_game,
 )
 from .numerics import DERIVED_TOL, THREADS_ENV, CapacityError, RngStream, check_norm_budget
-from .numerics import random_isometry, random_projector
+from .numerics import random_isometry
 from .relaxations import (
     decoupled_spectral_relaxation,
     spectral_relaxation,
@@ -145,10 +145,12 @@ def _instance(doc: dict):
 
 
 def _random_adversary(N: int, M: int, rank: int, rng: RngStream) -> AdversarySpec:
-    return AdversarySpec(
-        V=random_isometry(N, M, rng.child(0)),
-        Pi=random_projector(M, rank, rng.child(1)),
-    )
+    """V and Pi drawn as random_isometry and random_projector draw them, Pi held by its factor."""
+    V = random_isometry(N, M, rng.child(0))
+    if not 0 <= rank <= M:
+        raise ValueError(f"rank must lie in [0, {M}], got {rank}")
+    W = random_isometry(rank, M, rng.child(1)) if rank else np.zeros((M, 0), dtype=np.complex128)
+    return AdversarySpec.from_factor(V, W)
 
 
 def _report_dict(rep) -> dict:

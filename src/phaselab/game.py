@@ -26,7 +26,7 @@ M = 17 it skips each first half whose certified bound cannot reach the maximum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import threading
 
 import numpy as np
 
@@ -36,9 +36,12 @@ from .numerics import (
     ZERO_WEIGHT_TOL,
     CapacityError,
     RngStream,
+    check_isometry,
+    check_norm_budget,
     check_projector,
     isometry_weights,
     random_sign_array,
+    real_if_exact,
     rounding_allowance,
 )
 
@@ -68,6 +71,7 @@ BRUTEFORCE_CUTOFF = 28
 _BLOCK = 1 << 16  # values per search block: stays in cache; 2^18 and 2^20 ran slower
 _DIRECTIONS = 8  # complex bound, 1/cos(pi/16) - 1 = 2 % loose: 4 and 16 ran slower at M = 22
 _SEED_ROWS = 32  # top-bound rows scored for the cut: 128 ran slower at M = 18-22
+_PI_LOCK = threading.Lock()
 
 
 def _check_sign_array(values, ndim: int, what: str) -> np.ndarray:
@@ -109,30 +113,66 @@ def random_family(K: int, N: int, rng: RngStream) -> np.ndarray:
     return random_sign_array(rng.generator(), (K, N))
 
 
-@dataclass(frozen=True)
 class AdversarySpec:
     """One-query adversary in normal form: isometry V (M x N), projector Pi (M x M).
 
-    Checked once; keeps V's row weights and zero-weight mask as `weights` and
-    `mask`.  All four are read-only views.
+    `AdversarySpec(V, Pi)` checks a dense Pi with `check_projector`, whose product Pi Pi
+    costs M^3.  `AdversarySpec.from_factor(V, W)` holds Pi = W W^H by an M x r isometry W
+    (r = 0 allowed), checked with `check_isometry` in M r^2, and keeps `W`; neither the
+    checks nor Q_f read its `Pi`, which is formed from W on first read, once and unchecked.
+    V is checked once; its row weights and zero-weight mask are kept as `weights` and `mask`.
+    All arrays are read-only views, and no attribute can be set after construction.
     """
 
     V: np.ndarray
-    Pi: np.ndarray
+    W: np.ndarray | None  # None for a dense Pi
 
-    def __post_init__(self):
+    def __init__(self, V, Pi):
+        self._store(V=V, _Pi=Pi, W=None)
+        self.__post_init__()
+
+    @classmethod
+    def from_factor(cls, V, W) -> AdversarySpec:
+        """The adversary (V, W W^H), its Pi held by the M x r isometry W."""
+        spec = cls.__new__(cls)
+        spec._store(V=V, _Pi=None, W=W)
+        spec.__post_init__()
+        return spec
+
+    def _store(self, **arrays):
+        for name, a in arrays.items():
+            if isinstance(a, np.ndarray):
+                a = a.view()
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __post_init__(self):  # the dataclass name, which perfbench's tracer wraps
+        """The checks, run once: an M or N above NORM_MAX_DIM (`check_norm_budget`) is
+        refused before any product, then V is checked, then Pi or W."""
+        factor = self.W is not None
+        check_norm_budget(np.shape(self.V))
+        check_norm_budget(np.shape(self.W if factor else self._Pi))
         weights = isometry_weights(self.V)  # the one check of V
         V = np.asarray(self.V, dtype=np.complex128)
-        Pi = check_projector(self.Pi)
-        if Pi.shape[0] != V.shape[0]:
+        held = check_isometry(self.W, rank_zero=True) if factor else check_projector(self._Pi)
+        if held.shape[0] != V.shape[0]:
             raise ValueError(
-                f"projector dimension {Pi.shape[0]} != isometry output {V.shape[0]}"
+                f"projector dimension {held.shape[0]} != isometry output {V.shape[0]}"
             )
         mask = weights <= ZERO_WEIGHT_TOL
-        for name, a in (("V", V), ("Pi", Pi), ("weights", weights), ("mask", mask)):
-            view = a.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        self._store(V=V, weights=weights, mask=mask, **{"W" if factor else "_Pi": held})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AdversarySpec is read-only: cannot set {name!r}")
+
+    @property
+    def Pi(self) -> np.ndarray:
+        """The M x M projector; a factor-held one is formed as W @ W^H on first read."""
+        if self._Pi is None:
+            with _PI_LOCK:  # threads reading at once form it once
+                if self._Pi is None:
+                    self._store(_Pi=self.W @ self.W.conj().T)
+        return self._Pi
 
     @property
     def N(self) -> int:
@@ -181,13 +221,22 @@ def phase_state(h) -> np.ndarray:
 
 
 def _acceptance_form(adv: AdversarySpec, f) -> np.ndarray:
-    """Real N x N matrix Q_f = Re((O_f V)^H Pi (O_f V)), so that p(h | f) = h^T Q_f h / N."""
+    """Real N x N matrix Q_f = Re((O_f V)^H Pi (O_f V)), so that p(h | f) = h^T Q_f h / N.
+
+    A factor-held Pi = W W^H gives Q_f = Re(X^H X) with the r x N matrix X = W^H (O_f V),
+    never forming Pi: Re(X^H X) = Y^T Y with Y = X if X is real, else Re(X) stacked on Im(X).
+    W and O_f V each enter the product as real matrices when their entries are.
+    """
     fv = check_signs(f)
     if fv.size != adv.M:
         raise ValueError(f"oracle length {fv.size} != M = {adv.M}")
-    A = fv[:, None] * adv.V
-    # Contiguous, so BLAS sees a real matrix rather than a strided view into complex storage.
-    return np.ascontiguousarray(np.real(A.conj().T @ (adv.Pi @ A)))
+    if adv.W is None:
+        A = fv[:, None] * adv.V
+        # Contiguous, so BLAS sees a real matrix rather than a strided view into complex storage.
+        return np.ascontiguousarray(np.real(A.conj().T @ (adv.Pi @ A)))
+    X = real_if_exact(adv.W).conj().T @ (fv[:, None] * real_if_exact(adv.V))
+    Y = X if X.dtype == np.float64 else np.concatenate([X.real, X.imag])
+    return Y.T @ Y
 
 
 def _acceptance(adv: AdversarySpec, Q: np.ndarray, H=None) -> np.ndarray:
@@ -198,9 +247,11 @@ def _acceptance(adv: AdversarySpec, Q: np.ndarray, H=None) -> np.ndarray:
     AdversarySpec bounds every entry of V^H V - Id and of Pi Pi - Pi by
     DERIVED_TOL, so by Gershgorin on these two matrices ||V||^2 <= 1 + N DERIVED_TOL
     and every eigenvalue of Pi lies in [-M DERIVED_TOL, 1 + M DERIVED_TOL].  A
-    probability p = <w|Pi|w> with ||w||^2 <= ||V||^2 then lies in [-tol, 1 + tol],
-    tol = (1 + N DERIVED_TOL)(1 + M DERIVED_TOL) - 1: one outside is an error,
-    one inside is clamped to [0, 1].
+    factor-held Pi = W W^H has its M x r factor's W^H W - Id so bounded instead: Pi is
+    positive semidefinite with ||Pi|| = ||W||^2 <= 1 + r DERIVED_TOL <= 1 + M DERIVED_TOL,
+    as r <= M.  A probability p = <w|Pi|w> with ||w||^2 <= ||V||^2 then lies in
+    [-tol, 1 + tol], tol = (1 + N DERIVED_TOL)(1 + M DERIVED_TOL) - 1, either way: one
+    outside is an error, one inside is clamped to [0, 1].
     """
     N, M = adv.N, adv.M
     if H is not None and H.shape[-1] != N:

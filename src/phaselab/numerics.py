@@ -40,6 +40,7 @@ __all__ = [
     "check_isometry",
     "check_projector",
     "isometry_weights",
+    "real_if_exact",
     "span_basis",
     "thread_count",
     "parallel_blocks",
@@ -213,9 +214,11 @@ def rounding_allowance(n: int, scale, eigensolve: bool = False):
     return nu / (1.0 - nu) * scale
 
 
-def _as_matrix(m, stack: bool = False) -> np.ndarray:
+def _as_matrix(m, stack: bool = False, rank_zero: bool = False) -> np.ndarray:
+    """m as a finite nonempty complex matrix (or stack); rank_zero admits an M x 0 one."""
     a = np.asarray(m, dtype=np.complex128)
-    if (a.ndim < 2 if stack else a.ndim != 2) or a.size == 0:
+    bad_ndim = a.ndim < 2 if stack else a.ndim != 2
+    if bad_ndim or (a.size == 0 and not (rank_zero and a.shape[-2] > 0)):
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
@@ -334,11 +337,15 @@ def tv_distance(p, q) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def span_basis(A) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of A's column span and of its complement, from one full SVD."""
-    u, s, _ = np.linalg.svd(np.asarray(A, dtype=np.complex128))
+def span_basis(A, complement: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Orthonormal bases of A's column span and of its complement, from one SVD.
+
+    Only the complement needs the full n x n left factor: with complement=False the SVD is
+    thin, its left factor n x min(n, k), and the complement comes back as None.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(A, dtype=np.complex128), full_matrices=complement)
     rank = int(np.sum(s > 1e-12 * max(1.0, float(s.max(initial=0.0)))))
-    return u[:, :rank], u[:, rank:]
+    return u[:, :rank], u[:, rank:] if complement else None
 
 
 def check_unit_vector(v) -> np.ndarray:
@@ -349,10 +356,24 @@ def check_unit_vector(v) -> np.ndarray:
     return a
 
 
-def check_isometry(v) -> np.ndarray:
-    """V as a complex matrix, checked: max |V^H V - Id| <= DERIVED_TOL on V^H V's lower triangle."""
-    a = _as_matrix(v)
-    resid = _lower_residual(a.conj().T, a, np.eye(a.shape[1]))
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a's real part as a contiguous float64 array if a's imaginary part is all zero, else a.
+
+    A real product costs a quarter of the complex one, and its entries are the complex
+    product's real parts up to the order BLAS sums in.
+    """
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+
+def check_isometry(v, rank_zero: bool = False) -> np.ndarray:
+    """V as a complex matrix, checked: max |V^H V - Id| <= DERIVED_TOL on V^H V's lower triangle.
+
+    The product is real when V's entries are.  rank_zero admits an M x 0 V, the factor of the
+    zero projector, which has nothing to check.
+    """
+    a = _as_matrix(v, rank_zero=rank_zero)
+    x = real_if_exact(a)
+    resid = _lower_residual(x.conj().T, x, np.eye(a.shape[1]))
     if resid > DERIVED_TOL:
         raise ValueError(f"not an isometry: max |V^H V - Id| = {resid:.3e}")
     return a

@@ -22,7 +22,8 @@ from phaselab.attacks import (
     x_statistic,
 )
 from phaselab.game import acceptance_probability, advantage_given_f, random_family, simulate_game
-from phaselab.numerics import CapacityError, RngStream, random_projector
+from phaselab.game import phase_state
+from phaselab.numerics import CapacityError, RngStream, random_projector, span_basis
 
 
 def _parity_row(n, alpha):
@@ -148,6 +149,14 @@ class TestExactAdvantage:
         assert adv.N == 8
         assert adv.M == 16
         assert set(np.unique(f)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("N", [1, 8, 256])
+    def test_encoding_holds_the_kron_projector_by_its_factor(self, N):
+        adv, _ = hadamard_game_encoding(random_family(4, N, RngStream(2)))
+        minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        assert adv.W.shape == (2 * N, N)
+        np.testing.assert_array_equal(adv.W, np.kron(np.eye(N), minus[:, None]))
+        np.testing.assert_array_equal(adv.Pi, np.kron(np.eye(N), np.outer(minus, minus)))
 
 
 class TestStacks:
@@ -315,6 +324,24 @@ class TestOmniscient:
             assert acceptance_probability(adv, row, f) == pytest.approx(1.0, abs=1e-12)
         assert advantage_given_f(adv, R, f) == pytest.approx(0.5, abs=1e-12)
         assert omniscient_advantage(R) == 0.5
+
+    def test_thin_span_equals_the_full_one(self):
+        # The 50 families below, and the 4 x 2048 family whose full SVD builds a 2048 x 2048
+        # left factor: the thin SVD gives the same rank and basis bit for bit.
+        families = [random_family(16, 4, RngStream(200 + seed)) for seed in range(50)]
+        for R in families + [random_family(4, 2048, RngStream(1))]:
+            A = np.stack([phase_state(row) for row in R], axis=1)
+            full, thin = span_basis(A)[0], span_basis(A, complement=False)
+            assert thin[1] is None
+            assert thin[0].shape == full.shape
+            assert thin[0].tobytes() == full.tobytes()
+
+    def test_distinguisher_holds_its_projector_by_the_span(self):
+        R = random_family(3, 8, RngStream(12))
+        adv = omniscient_distinguisher(R)
+        assert adv.W.shape == (8, 3)
+        np.testing.assert_allclose(adv.W.conj().T @ adv.W, np.eye(3), atol=1e-12)
+        np.testing.assert_array_equal(adv.Pi, adv.W @ adv.W.conj().T)
 
     def test_advantage_is_one_minus_rank_over_n(self):
         for seed in range(50):

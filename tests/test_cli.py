@@ -244,6 +244,26 @@ class TestRun:
         assert record["config"] == printed["config"]
         assert record["values"] == printed["values"]
 
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (
+                ["game", "--N", "4", "--M", "6", "--K", "2", "--rank", "0", "--trials", "100"],
+                {"max_advantage": 0.0, "method": "bruteforce", "bound": "exact", "win_rate": 0.52},
+            ),
+            (["relax", "--N", "4", "--M", "6", "--K", "2", "--rank", "0"], {"spectral": 0.0, "decoupled_spectral": 0.0}),
+            (
+                ["relax", "--N", "4", "--M", "6", "--K", "2", "--rank", "0", "--B", "1", "--samples", "50"],
+                {"spectral": 0.0, "decoupled_spectral": 0.0, "truncated_spectral": 0.0, "truncated_spectral_error": 0.0},
+            ),
+        ],
+    )
+    def test_zero_rank_runs(self, argv, values):
+        # Pi = 0, held by a 6 x 0 factor: every acceptance is 0, so a trial is won w.p. 1/2.
+        code, record = _main_io([*argv, "--seed", "0"])
+        assert code == 0
+        assert record["values"] == values
+
     def test_every_command_has_its_own_kind(self):
         kinds = [c.kind for c in cli.COMMANDS.values()]
         assert len(set(kinds)) == len(kinds)
@@ -491,7 +511,6 @@ class TestMain:
     def test_oversize_run_refused_before_drawing(self, argv, monkeypatch, capsys):
         drawn = []
         monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
-        monkeypatch.setattr(cli, "random_projector", lambda *a, **k: drawn.append(a))
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 3

@@ -25,6 +25,7 @@ from phaselab.game import (
     sign_rows,
     simulate_game,
 )
+from phaselab import cli, numerics
 from phaselab.numerics import (
     DERIVED_TOL,
     CapacityError,
@@ -32,8 +33,14 @@ from phaselab.numerics import (
     random_isometry,
     random_projector,
     random_sign_array,
+    rounding_allowance,
 )
-from phaselab.relaxations import decoupled_kernel
+from phaselab.relaxations import (
+    decoupled_kernel,
+    decoupled_spectral_relaxation,
+    spectral_relaxation,
+    truncated_spectral_relaxation,
+)
 
 
 def _random_adversary(N, M, rank, seed):
@@ -182,6 +189,120 @@ class TestValidatorsAndStates:
         np.testing.assert_array_equal(
             sign_rows(3), np.array(list(itertools.product((1.0, -1.0), repeat=3)))
         )
+
+
+def _dense_twin(N, M, rank, rng):
+    """The adversary `cli._random_adversary` draws, with its Pi passed dense."""
+    return AdversarySpec(
+        V=random_isometry(N, M, rng.child(0)), Pi=random_projector(M, rank, rng.child(1))
+    )
+
+
+_CLI_SIZES = [(4, 6, 3), (8, 10, 5), (8, 16, 1), (6, 12, 12), (16, 40, 20), (4, 6, 0)]
+
+
+class TestFactorHeldSpec:
+    """`AdversarySpec.from_factor`: Pi = W W^H held by W, its check and its Q_f."""
+
+    @pytest.mark.parametrize("N, M, rank", _CLI_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cli_adversary_matches_its_dense_twin_bit_for_bit(self, N, M, rank, seed):
+        rng = RngStream(seed)
+        held, dense = cli._random_adversary(N, M, rank, rng), _dense_twin(N, M, rank, rng)
+        assert held.W is not None and dense.W is None
+        R, Rp = random_family(4, N, RngStream(50 + seed)), random_family(4, N, RngStream(60 + seed))
+        for a, b in [
+            (held.V, dense.V),
+            (held.Pi, dense.Pi),
+            (advantage_kernel(held, R), advantage_kernel(dense, R)),
+            (decoupled_kernel(held, R, Rp), decoupled_kernel(dense, R, Rp)),
+            (spectral_relaxation(held, R), spectral_relaxation(dense, R)),
+            (decoupled_spectral_relaxation(held, R, Rp), decoupled_spectral_relaxation(dense, R, Rp)),
+            (
+                truncated_spectral_relaxation(held, R, 2.0, 50, rng=RngStream(7)),
+                truncated_spectral_relaxation(dense, R, 2.0, 50, rng=RngStream(7)),
+            ),
+        ]:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("N, M, rank", _CLI_SIZES)
+    def test_acceptance_form_agrees_with_the_dense_route(self, N, M, rank):
+        rng = RngStream(3)
+        held, dense = cli._random_adversary(N, M, rank, rng), _dense_twin(N, M, rank, rng)
+        f = random_sign_array(RngStream(4).generator(), M)
+        Q, Qd = game._acceptance_form(held, f), game._acceptance_form(dense, f)
+        # Both are sums over at most 2M + 2r <= 4M complex products of |A| |Pi| |A| or
+        # |A| |W| |W|^T |A| in size, A = O_f V; a complex value counts twice.
+        absA, absW = np.abs(held.V), np.abs(held.W)
+        scale = absA.T @ (np.abs(dense.Pi) + absW @ absW.T) @ absA
+        assert np.all(np.abs(Q - Qd) <= rounding_allowance(8 * M + 8, scale))
+
+    def test_real_factor_takes_the_real_route_to_the_same_form(self):
+        R = random_family(4, 16, RngStream(5))
+        adv, f = phaselab.hadamard_game_encoding(R)
+        Q = game._acceptance_form(adv, f)
+        A = f[:, None] * np.asarray(adv.V)
+        X = adv.W.conj().T @ A  # the complex route
+        want = np.real(X.conj().T @ X)
+        assert Q.dtype == np.float64
+        np.testing.assert_allclose(Q, want, rtol=0, atol=rounding_allowance(8 * 32, 1.0))
+
+    def test_non_isometry_factor_refused(self):
+        V = random_isometry(2, 4, RngStream(6))
+        with pytest.raises(ValueError, match=r"not an isometry: max \|V\^H V - Id\| = 3\.000e\+00"):
+            AdversarySpec.from_factor(V, 2.0 * np.eye(4)[:, :2])
+        with pytest.raises(ValueError, match="projector dimension 5 != isometry output 4"):
+            AdversarySpec.from_factor(V, np.eye(5)[:, :2])
+
+    @pytest.mark.parametrize("factor", [False, True])
+    @pytest.mark.parametrize("v_rows", [6, 4])  # V over the budget, or only Pi or W
+    def test_oversize_refused_before_any_check(self, factor, v_rows, monkeypatch):
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 5)
+        ran = []
+        for name in ("check_projector", "check_isometry", "isometry_weights"):
+            monkeypatch.setattr(game, name, lambda *a, name=name, **k: ran.append(name))
+        V = random_isometry(2, v_rows, RngStream(7))
+        with pytest.raises(CapacityError, match=r"\(6, [236]\) matrix exceeds the dimension budget 5"):
+            if factor:
+                AdversarySpec.from_factor(V, random_isometry(3, 6, RngStream(8)))
+            else:
+                AdversarySpec(V, random_projector(6, 3, RngStream(8)))
+        assert ran == []
+
+    def test_zero_rank_factor(self):
+        adv = AdversarySpec.from_factor(random_isometry(3, 5, RngStream(9)), np.zeros((5, 0)))
+        assert adv.W.shape == (5, 0)
+        np.testing.assert_array_equal(adv.Pi, np.zeros((5, 5)))
+        f = np.ones(5)
+        assert game._acceptance_form(adv, f).tolist() == np.zeros((3, 3)).tolist()
+        assert haar_average_acceptance(adv, f) == 0.0
+        with pytest.raises(ValueError, match="expected a nonempty matrix"):
+            AdversarySpec.from_factor(np.zeros((5, 0)), np.zeros((5, 0)))
+
+    def test_pi_formed_once_read_only_and_unchecked(self, monkeypatch):
+        adv = cli._random_adversary(4, 6, 3, RngStream(10))
+        monkeypatch.setattr(numerics, "check_projector", None)  # any check would now fail
+        monkeypatch.setattr(game, "check_projector", None)
+        assert adv.Pi is adv.Pi
+        with pytest.raises(ValueError):
+            adv.Pi[0, 0] = 1.0
+        for name in ("V", "W", "weights", "mask"):
+            with pytest.raises(ValueError):
+                getattr(adv, name)[0] = 0
+
+    def test_no_attribute_can_be_set(self):
+        adv = cli._random_adversary(4, 6, 3, RngStream(11))
+        with pytest.raises(AttributeError, match="read-only"):
+            adv.V = adv.V
+
+    def test_game_on_the_encoding_never_forms_pi(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(AdversarySpec, "Pi", property(lambda self: reads.append(self)))
+        R = random_family(4, 64, RngStream(12))
+        adv, f = phaselab.hadamard_game_encoding(R)
+        simulate_game(adv, R, f, 1000, RngStream(13))
+        phaselab.hadamard_attack_report(6, 4, 2, 1000, RngStream(14))
+        assert reads == []
 
 
 class TestAcceptanceProbability:
