@@ -86,7 +86,7 @@ from .bench import (
     width_tail_bench,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "__version__",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .game import AdversarySpec, check_families, check_family, phase_state, random_family
 from .game import simulate_game
-from .numerics import NORM_MAX_DIM, CapacityError, RngStream, check_norm_budget, check_unit_vector
+from .numerics import CapacityError, RngStream, check_entries, check_norm_budget, check_unit_vector
 from .numerics import span_basis
 
 __all__ = [
@@ -139,7 +139,7 @@ def hadamard_attack_report(
     trials); and the sample mean/variance of the X statistic across the draws
     (the variance None with one draw).  The families are one draw from
     rng.child(0), the game's trials read rng.child(1).  Their draws * K * 2^n signs
-    are refused above NORM_MAX_DIM^2 entries, the largest matrix operator_norm takes.
+    over `check_entries`' budget are refused before anything is drawn.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -149,12 +149,8 @@ def hadamard_attack_report(
         raise ValueError("draws must be >= 1")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    budget = NORM_MAX_DIM**2
-    if n >= budget.bit_length() or draws * K << n > budget:  # 2^n is not built past the budget
-        raise CapacityError(
-            f"{draws} draws of K = {K} signs over 2^{n} points exceed the budget of "
-            f"{budget} entries"
-        )
+    points = 1 << min(n, 64)  # 2^n is not built for a huge n: 2^64 points exceed any budget
+    check_entries(draws * K * points, f"{draws} draws of K = {K} signs over 2^{n} points")
     if trials > 0:
         check_norm_budget((2 << n, 2 << n))  # the game encoding's dimension 2N
     R = random_family(draws * K, 1 << n, rng.child(0)).reshape(draws, K, 1 << n)

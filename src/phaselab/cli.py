@@ -35,8 +35,8 @@ from .game import (
     random_family,
     simulate_game,
 )
-from .numerics import DERIVED_TOL, THREADS_ENV, CapacityError, RngStream, check_norm_budget
-from .numerics import random_isometry
+from .numerics import DERIVED_TOL, THREADS_ENV, CapacityError, RngStream, check_entries
+from .numerics import check_norm_budget, random_isometry
 from .relaxations import (
     decoupled_spectral_relaxation,
     spectral_relaxation,
@@ -146,9 +146,9 @@ def _instance(doc: dict):
 
 def _random_adversary(N: int, M: int, rank: int, rng: RngStream) -> AdversarySpec:
     """V and Pi drawn as random_isometry and random_projector draw them, Pi held by its factor."""
-    V = random_isometry(N, M, rng.child(0))
     if not 0 <= rank <= M:
         raise ValueError(f"rank must lie in [0, {M}], got {rank}")
+    V = random_isometry(N, M, rng.child(0))
     W = random_isometry(rank, M, rng.child(1)) if rank else np.zeros((M, 0), dtype=np.complex128)
     return AdversarySpec.from_factor(V, W)
 
@@ -227,6 +227,8 @@ def _bench(p: dict, rng: RngStream, instance: dict | None) -> dict:
 def _conjecture(p: dict, rng: RngStream, instance: dict | None) -> dict:
     N, L, K = p["N"], p["L"], p["K"]
     dim = N * p["P"]
+    # Before any draw; with L >= 1 this refuses a dim over NORM_MAX_DIM too.
+    check_entries(L * dim * dim, f"{L} projectors of {dim} x {dim}")
     if L < 1 or dim % L != 0:
         raise ValueError(f"projector count {L} must be a positive divisor of dimension {dim}")
     U = random_isometry(dim, dim, rng.child(0))
@@ -241,6 +243,7 @@ def _conjecture(p: dict, rng: RngStream, instance: dict | None) -> dict:
 
 
 def _compress(p: dict, rng: RngStream, instance: dict | None) -> dict:
+    check_norm_budget((p["L"] * p["D"], p["D"]))  # the compression, refused before V is drawn
     V = random_isometry(p["D"], p["L"] * p["S"], rng.child(0))
     dev = verify_one_query_simulation(V, p["L"], p["trials"], rng.child(2))
     return {"max_deviation": dev, "passed": dev <= DERIVED_TOL}
@@ -248,19 +251,18 @@ def _compress(p: dict, rng: RngStream, instance: dict | None) -> dict:
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: record kind, help, flags, size budget and runner.
+    """One subcommand: record kind, help, flags and runner.
 
     A flag is stated by its default: an int, float or str default sets the type,
     False makes a switch, a tuple lists the choices (default first), and a bare
-    type makes an optional flag.  ``budget`` maps the params to the shape of the
-    largest dense matrix the run builds, refused over the operator-norm budget
-    before any draw; ``runner`` maps (params, root stream, instance document) to values.
+    type makes an optional flag.  ``runner`` maps (params, root stream, instance
+    document) to values; the routines it calls refuse an oversized matrix before
+    they draw or build it.
     """
 
     kind: str
     help: str
     flags: dict
-    budget: Callable[[dict], tuple] | None
     runner: Callable[[dict, RngStream, dict | None], dict]
 
 
@@ -268,38 +270,31 @@ COMMANDS = {
     "game": Command(
         "game", "play/maximize the distinguishing game",
         {"N": 8, "M": 10, "K": 4, "rank": int, "trials": 10_000, "restarts": 20,
-         "localsearch": False, "instance": str},
-        lambda p: (p["M"], p["M"]), _game,
+         "localsearch": False, "instance": str}, _game,
     ),
     "attack": Command(
         "attack-hadamard", "Hadamard measure-and-classify attack",
-        {"n": 8, "K": 16, "draws": 200, "trials": 10_000},
-        None, _attack,  # hadamard_attack_report checks its draws * K * 2^n signs and game encoding
+        {"n": 8, "K": 16, "draws": 200, "trials": 10_000}, _attack,
     ),
     "relax": Command(
         "relaxation", "spectral relaxations of the advantage",
-        {"N": 8, "M": 16, "K": 8, "rank": int, "B": float, "samples": 10_000},
-        lambda p: (p["M"], p["M"]), _relax,
+        {"N": 8, "M": 16, "K": 8, "rank": int, "B": float, "samples": 10_000}, _relax,
     ),
     "width": Command(
         "width", "width statistics of random families",
-        {"N": 32, "M": 128, "K": 64, "samples": 200},
-        lambda p: (p["M"], p["N"]), _width,
+        {"N": 32, "M": 128, "K": 64, "samples": 200}, _width,
     ),
     "bench": Command(
         "bench", "concentration-inequality validators",
-        {"name": ("all", *BENCHES), "samples": 500},
-        None, _bench,  # the benches' sizes are fixed in phaselab.bench
+        {"name": ("all", *BENCHES), "samples": 500}, _bench,
     ),
     "conjecture": Command(
         "conjecture", "subset-norm conjecture explorer",
-        {"N": 4, "P": 2, "L": 8, "K": 4, "mode": ("brute", "greedy"), "restarts": 32},
-        lambda p: (p["N"] * p["P"],) * 2, _conjecture,
+        {"N": 4, "P": 2, "L": 8, "K": 4, "mode": ("brute", "greedy"), "restarts": 32}, _conjecture,
     ),
     "compress": Command(
         "compression-verify", "verify one-query space reduction",
-        {"D": 4, "L": 8, "S": 4, "trials": 50},
-        lambda p: (p["L"] * max(p["S"], p["D"]), p["D"]), _compress,
+        {"D": 4, "L": 8, "S": 4, "trials": 50}, _compress,
     ),
 }
 
@@ -334,8 +329,8 @@ def run(config: ExperimentConfig) -> dict:
 
     Params the config leaves out take the entry's defaults, and a missing rank
     is max(1, M // 2).  An instance file sets N and M to the sizes it declares,
-    and rank goes unused.  Before anything is drawn or the file's matrices are
-    validated, a run over the budget is refused, then a size param below 1.  The
+    and rank goes unused.  A size param below 1 is refused before anything is drawn;
+    an oversized matrix, by the routine that would build it, before it draws.  The
     record echoes the params the run used.
     """
     cmd = next((c for c in COMMANDS.values() if c.kind == config.kind), None)
@@ -356,8 +351,6 @@ def run(config: ExperimentConfig) -> dict:
         p = {k: v for k, v in p.items() if k != "rank"} | sizes
     elif "rank" in cmd.flags and p.get("rank") is None:
         p["rank"] = max(1, p["M"] // 2)
-    if cmd.budget:
-        check_norm_budget(cmd.budget(p))
     small = [name for name in _SIZE_PARAMS if name in p and p[name] < 1]
     if small:
         raise ValueError(f"--{small[0]} must be >= 1")

@@ -21,6 +21,7 @@ from .numerics import (
     DERIVED_TOL,
     RngStream,
     check_isometry,
+    check_norm_budget,
     parallel_blocks,
     random_sign_array,
     span_basis,
@@ -34,15 +35,18 @@ __all__ = [
 ]
 
 
-def measurement_operators(V, L: int, S: int) -> np.ndarray:
+def measurement_operators(V, L: int, S: int | None = None) -> np.ndarray:
     """M_z = V^H (|z><z| tensor Id_S) V for z in [L], stacked (L, D, D); PSD, summing to Id_D.
 
-    V may be a spec.  All L products are one batched matrix product.
+    V may be a spec, and S = None takes S = M / L.  All L products are one batched matrix
+    product; an (L*D) x D compression over `check_norm_budget` is refused before it.
     """
     Vm = V.V if isinstance(V, AdversarySpec) else check_isometry(V)
-    if Vm.shape[0] != L * S:
-        raise ValueError(f"isometry output {Vm.shape[0]} != L*S = {L * S}")
-    blocks = Vm.reshape(L, S, Vm.shape[1])
+    M, D = Vm.shape
+    if L < 1 or M % L or S not in (None, M // L):
+        raise ValueError(f"isometry output {M} != L*S for L = {L}, S = {S}")
+    check_norm_budget((L * D, D))
+    blocks = Vm.reshape(L, M // L, D)
     return np.swapaxes(blocks.conj(), -1, -2) @ blocks
 
 
@@ -55,8 +59,8 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def compress_isometry(V, L: int, S: int) -> np.ndarray:
-    """compress(V): stack the square roots sqrt(M_z) into an (L*D) x D isometry."""
+def compress_isometry(V, L: int, S: int | None = None) -> np.ndarray:
+    """compress(V): the square roots sqrt(M_z) stacked into an (L*D) x D isometry (S as above)."""
     roots = _psd_sqrt(measurement_operators(V, L, S))
     return roots.reshape(L * roots.shape[-1], roots.shape[-1])
 
@@ -98,19 +102,16 @@ def verify_one_query_simulation(V, L: int, trials: int, rng: RngStream) -> float
     vectors Phi_{f,x} = (O_f tensor Id) V |x> and their compressed analogues
     must have identical pairwise inner products; the returned maximum
     deviation certifies that every one-query measurement statistic survives
-    compression.  V may be a spec; only its isometry is read.  Trials run in
-    blocks of up to SAMPLE_BLOCK (see parallel_blocks); a block maps its input
-    states through V and through compress(V) with one matrix product each and
-    applies the signs by broadcasting.
+    compression.  V may be a spec; only its isometry is read, and a bare V is
+    checked once, by compress_isometry.  Trials run in blocks of up to SAMPLE_BLOCK
+    (see parallel_blocks); a block maps its input states through V and through
+    compress(V) with one matrix product each and applies the signs by broadcasting.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    Vm = V.V if isinstance(V, AdversarySpec) else check_isometry(V)
+    W = compress_isometry(V, L)
+    Vm = V.V if isinstance(V, AdversarySpec) else np.asarray(V, dtype=np.complex128)
     M, D = Vm.shape
-    if M % L != 0:
-        raise ValueError(f"total dimension {M} does not factor through L = {L}")
-    S = M // L
-    W = compress_isometry(V, L, S)
 
     def run_block(b, size):
         g = rng.child(b).generator()
@@ -118,7 +119,7 @@ def verify_one_query_simulation(V, L: int, trials: int, rng: RngStream) -> float
         xy = g.standard_normal((size, 2, D)) + 1j * g.standard_normal((size, 2, D))
         xy /= np.linalg.norm(xy, axis=2, keepdims=True)  # per trial, rows x and y
         xy = xy.reshape(2 * size, D)  # one product for the block, not one per trial
-        phi = (F[..., None] * (xy @ Vm.T).reshape(size, 2, L, S)).reshape(size, 2, M)
+        phi = (F[..., None] * (xy @ Vm.T).reshape(size, 2, L, M // L)).reshape(size, 2, M)
         chat = (F[..., None] * (xy @ W.T).reshape(size, 2, L, D)).reshape(size, 2, L * D)
         dev = np.abs(
             np.sum(phi[:, 0].conj() * phi[:, 1], axis=1)

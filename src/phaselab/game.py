@@ -32,10 +32,10 @@ import numpy as np
 
 from .numerics import (
     DERIVED_TOL,
-    NORM_MAX_DIM,
     ZERO_WEIGHT_TOL,
     CapacityError,
     RngStream,
+    check_entries,
     check_isometry,
     check_norm_budget,
     check_projector,
@@ -104,12 +104,9 @@ def check_bruteforce_size(m: int) -> None:
 
 
 def random_family(K: int, N: int, rng: RngStream) -> np.ndarray:
-    """A uniform K x N +-1 family from the stream, drawn by `random_sign_array`; K * N above
-    NORM_MAX_DIM^2 entries, the largest matrix operator_norm takes, is refused before drawing."""
-    if K * N > NORM_MAX_DIM**2:
-        raise CapacityError(
-            f"a K x N family of {K} x {N} signs exceeds the budget of {NORM_MAX_DIM**2} entries"
-        )
+    """A uniform K x N +-1 family from the stream, drawn by `random_sign_array`; K * N signs
+    over `check_entries`' budget are refused before drawing."""
+    check_entries(K * N, f"{K} x {N} signs")
     return random_sign_array(rng.generator(), (K, N))
 
 
@@ -203,14 +200,13 @@ def family_images(V, R) -> np.ndarray:
     """K x M matrix whose row k is V |psi_{R_k}>, for an M x N matrix V and a K x N family R.
 
     A stack of families (..., K, N) gives (..., K, M), each family's own product; more
-    than NORM_MAX_DIM^2 entries are refused before the product.
+    entries than `check_entries` allows are refused before the product.
     """
     Rv = check_families(R)
     M, N = V.shape
     if Rv.shape[-1] != N:
         raise ValueError(f"family width {Rv.shape[-1]} != N = {N}")
-    if Rv.size // N * M > NORM_MAX_DIM**2:
-        raise CapacityError(f"{Rv.size // N} x {M} family-image entries exceed {NORM_MAX_DIM**2}")
+    check_entries(Rv.size // N * M, f"{Rv.size // N} x {M} family images")
     return np.swapaxes(V @ (np.swapaxes(Rv, -1, -2) / np.sqrt(N)), -1, -2)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "random_sign_array",
     "operator_norm",
     "check_norm_budget",
+    "check_entries",
     "random_isometry",
     "random_projector",
     "tv_distance",
@@ -226,10 +227,18 @@ def _as_matrix(m, stack: bool = False, rank_zero: bool = False) -> np.ndarray:
 
 
 def check_norm_budget(shape) -> None:
-    """Raise CapacityError if a matrix (or stack) of this shape is too large for operator_norm."""
+    """Raise CapacityError if a matrix (or stack) of this shape has a side above NORM_MAX_DIM.
+    Every routine that builds a matrix from its arguments calls this or `check_entries` first."""
     if max(tuple(shape)[-2:], default=0) > NORM_MAX_DIM:
+        raise CapacityError(f"a {tuple(shape)} matrix exceeds the dimension budget {NORM_MAX_DIM}")
+
+
+def check_entries(count: int, what: str) -> None:
+    """Raise CapacityError if `what`, an array of `count` entries, holds more than NORM_MAX_DIM^2
+    entries, as many as the largest matrix operator_norm takes; `what` is a plural noun phrase."""
+    if count > NORM_MAX_DIM**2:
         raise CapacityError(
-            f"operator norm of a {tuple(shape)} matrix exceeds the dimension budget {NORM_MAX_DIM}"
+            f"{what} exceed the budget of {NORM_MAX_DIM**2} entries ({NORM_MAX_DIM}^2)"
         )
 
 
@@ -297,7 +306,9 @@ def operator_norm(m):
 
 
 def random_isometry(n_in: int, n_out: int, rng: RngStream) -> np.ndarray:
-    """Sample an n_out x n_in complex isometry (orthonormalized Gaussian columns)."""
+    """Sample an n_out x n_in complex isometry (orthonormalized Gaussian columns); a side
+    above NORM_MAX_DIM is refused (`check_norm_budget`) before anything is drawn."""
+    check_norm_budget((n_out, n_in))
     if n_out < n_in:
         raise ValueError(f"isometry needs n_out >= n_in, got {n_out} < {n_in}")
     if n_in < 1:
@@ -312,7 +323,9 @@ def random_isometry(n_in: int, n_out: int, rng: RngStream) -> np.ndarray:
 
 
 def random_projector(dim: int, rank: int, rng: RngStream) -> np.ndarray:
-    """Sample a dim x dim orthogonal projector onto a random rank-r subspace."""
+    """Sample a dim x dim orthogonal projector onto a random rank-r subspace; a dim above
+    NORM_MAX_DIM is refused (`check_norm_budget`) before anything is drawn."""
+    check_norm_budget((dim, dim))
     if rank < 0 or rank > dim:
         raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
     if rank == 0:

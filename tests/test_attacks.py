@@ -251,7 +251,7 @@ class TestAttackReport:
         # draws * K * 2^n signs above NORM_MAX_DIM^2 entries, here 8^2 = 64, whatever trials is.
         calls = []
         monkeypatch.setattr(attacks, "random_family", lambda *a: calls.append(a))
-        monkeypatch.setattr(attacks, "NORM_MAX_DIM", 8)
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
         with pytest.raises(CapacityError, match="3 draws of K = 3 signs over 2\\^3 points exceed"):
             hadamard_attack_report(3, 3, draws=3, trials=trials, rng=RngStream(8))  # 72 signs
         with pytest.raises(CapacityError, match="budget of 64 entries"):
@@ -259,7 +259,7 @@ class TestAttackReport:
         assert calls == []
 
     def test_sign_table_at_the_budget_runs(self, monkeypatch):
-        monkeypatch.setattr(attacks, "NORM_MAX_DIM", 8)
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
         rep = hadamard_attack_report(3, 2, draws=4, trials=0, rng=RngStream(8))  # 64 signs
         assert rep.monte_carlo_advantage is None
 

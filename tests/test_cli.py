@@ -451,10 +451,10 @@ class TestMain:
     def test_width_argument_vectors(self, N, M, K, samples):
         argv = ["width", "--N", str(N), "--M", str(M), "--K", str(K), "--samples", str(samples)]
         code, _ = _main_io([*argv, "--seed", "1"])
-        if M > 4096:
-            assert code == 3
-        elif samples < 1:
+        if min(N, M, K, samples) < 1:
             assert code == 2
+        elif M > 4096:
+            assert code == 3
 
     @given(
         st.sampled_from(["all", *BENCHES]),
@@ -478,7 +478,9 @@ class TestMain:
     def test_compress_argument_vectors(self, D, L, S, trials):
         argv = ["compress", "--D", str(D), "--L", str(L), "--S", str(S), "--trials", str(trials)]
         code, record = _main_io([*argv, "--seed", "1"])
-        if L * S > 4096:
+        if min(D, L, S) < 1:
+            assert code == 2
+        elif L * S > 4096:
             assert code == 3
         if code == 0:
             assert record["values"]["passed"] is True
@@ -490,9 +492,26 @@ class TestMain:
         assert "--K must be >= 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["game", "--M", "10", "--rank", "11"], "rank must lie in [0, 10], got 11"),
+            (["game", "--M", "5000", "--K", "0"], "--K must be >= 1"),  # oversized M as well
+        ],
+    )
+    def test_invalid_input_refused_before_drawing(self, argv, message, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append(self))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+        assert drawn == []
+
     def test_oversize_relaxation_refused_before_drawing(self, monkeypatch, capsys):
         drawn = []
-        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append(self))
         code = main(["relax", "--M", "4097"])
         captured = capsys.readouterr()
         assert code == 3
@@ -504,13 +523,14 @@ class TestMain:
         "argv",
         [
             ["conjecture", "--N", "2049", "--P", "2"],
+            ["conjecture", "--N", "4096", "--P", "1", "--L", "16"],  # 16 projectors of 4096^2
             ["compress", "--L", "65", "--S", "64"],
             ["width", "--M", "4097"],
         ],
     )
     def test_oversize_run_refused_before_drawing(self, argv, monkeypatch, capsys):
         drawn = []
-        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append(self))
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 3
@@ -542,10 +562,10 @@ class TestMain:
 
     def test_compress_budget_bounds_the_measurement_operators(self, monkeypatch, capsys):
         # L*S = 8 fits a budget of 16, but compress_isometry builds L operators of
-        # D x D and an (L*D) x D isometry: the budget entry is (L * max(S, D), D).
+        # D x D and an (L*D) x D isometry: the run refuses (L * D, D) before drawing V.
         monkeypatch.setattr(numerics, "NORM_MAX_DIM", 16)
         drawn = []
-        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append(self))
         code = main(["compress", "--D", "8", "--L", "4", "--S", "2"])
         captured = capsys.readouterr()
         assert code == 3
@@ -598,8 +618,7 @@ class TestMain:
 
     def test_oversize_game_refused_before_drawing(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli, "random_isometry", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(cli, "random_family", lambda *a: calls.append(a))
+        monkeypatch.setattr(RngStream, "generator", lambda self: calls.append(self))
         code = main(["game", "--M", "4097", "--localsearch"])
         captured = capsys.readouterr()
         assert code == 3
@@ -609,26 +628,26 @@ class TestMain:
 
     def test_oversize_family_refused_before_drawing(self, monkeypatch, capsys):
         # K x N signs above NORM_MAX_DIM^2 entries, here 8^2 = 64: exit 3, not a MemoryError.
-        monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
         # 64 signs, and 64 family images at M = 8 (see test_oversize_family_images_refused)
         assert _main_io(["game", "--K", "8", "--N", "8", "--M", "8", "--trials", "10"])[0] == 0
         calls = []
         monkeypatch.setattr(game, "random_sign_array", lambda *a: calls.append(a))
-        code = main(["game", "--K", "9", "--N", "8"])
+        code = main(["game", "--K", "9", "--N", "8", "--M", "8"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "9 x 8 signs exceeds the budget of 64 entries" in captured.err
+        assert "9 x 8 signs exceed the budget of 64 entries" in captured.err
         assert captured.out == ""
         assert calls == []
 
     def test_oversize_family_images_refused(self, monkeypatch, capsys):
         # K x M images above NORM_MAX_DIM^2 entries, here 8^2 = 64, though K x N = 9 x 1 passes.
-        monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
         assert _main_io(["game", "--N", "1", "--M", "8", "--K", "8", "--trials", "10"])[0] == 0
         code = main(["game", "--N", "1", "--M", "8", "--K", "9"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "9 x 8 family-image entries exceed 64" in captured.err
+        assert "9 x 8 family images exceed the budget of 64 entries" in captured.err
         assert captured.out == ""
 
     def test_oversize_game_instance_refused_before_drawing(self, monkeypatch, tmp_path, capsys):

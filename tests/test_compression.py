@@ -14,6 +14,7 @@ from phaselab.compression import (
 )
 from phaselab.game import AdversarySpec
 from phaselab.numerics import (
+    CapacityError,
     RngStream,
     check_isometry,
     parallel_blocks,
@@ -62,6 +63,20 @@ class TestMeasurementOperators:
         V = random_isometry(4, 24, RngStream(3))
         with pytest.raises(ValueError):
             measurement_operators(V, L=5, S=4)
+        with pytest.raises(ValueError, match="isometry output 24 != L\\*S for L = 5, S = None"):
+            measurement_operators(V, L=5)
+
+    def test_oversize_compression_refused_before_the_product(self, monkeypatch):
+        # L*S = 8 rows fit a budget of 16, but the (L*D) x D compression of 32 rows does not.
+        V = random_isometry(8, 8, RngStream(5))
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 16)
+        products = []
+        monkeypatch.setattr(np, "swapaxes", lambda *a: products.append(a))
+        with pytest.raises(CapacityError, match=r"\(32, 8\) matrix exceeds the dimension budget 16"):
+            measurement_operators(V, 4, 2)
+        with pytest.raises(CapacityError, match="budget 16"):
+            verify_one_query_simulation(V, 4, 10, RngStream(6))
+        assert products == []
 
 
 class TestCompressIsometry:
@@ -91,6 +106,7 @@ class TestCompressIsometry:
             vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
             roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
         assert np.array_equal(compress_isometry(V, L, S), np.concatenate(roots))
+        assert np.array_equal(compress_isometry(V, L), compress_isometry(V, L, S))  # S = M / L
 
 
 class TestExtendToIsometry:
@@ -185,3 +201,9 @@ class TestOneQuerySimulation:
         # The spec and its bare isometry give the same compression.
         np.testing.assert_array_equal(compress_isometry(adv, 8, 4), compress_isometry(V, 8, 4))
         assert len(calls) == 2
+        # A bare V is checked once too, and gives the spec's deviation.
+        calls.clear()
+        assert verify_one_query_simulation(V, 8, 10, rng.child(2)) == verify_one_query_simulation(
+            adv, 8, 10, rng.child(2)
+        )
+        assert len(calls) == 1

@@ -179,8 +179,8 @@ class TestValidatorsAndStates:
             def __matmul__(self, other):
                 raise AssertionError("the product was formed")
 
-        monkeypatch.setattr(game, "NORM_MAX_DIM", 8)
-        with pytest.raises(CapacityError, match="72 x 8 family-image entries exceed 64"):
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
+        with pytest.raises(CapacityError, match="72 x 8 family images exceed the budget of 64"):
             game.family_images(NoProduct(), np.ones((8, 9, 1)))  # (8 * 9) x 8 entries
         V = random_isometry(1, 8, RngStream(8))
         assert game.family_images(V, np.ones((8, 1))).shape == (8, 8)  # 64 entries
@@ -257,16 +257,15 @@ class TestFactorHeldSpec:
     @pytest.mark.parametrize("factor", [False, True])
     @pytest.mark.parametrize("v_rows", [6, 4])  # V over the budget, or only Pi or W
     def test_oversize_refused_before_any_check(self, factor, v_rows, monkeypatch):
+        # Drawn before the budget is lowered: the samplers refuse an oversized draw themselves.
+        V = random_isometry(2, v_rows, RngStream(7))
+        held = random_isometry(3, 6, RngStream(8)) if factor else random_projector(6, 3, RngStream(8))
         monkeypatch.setattr(numerics, "NORM_MAX_DIM", 5)
         ran = []
         for name in ("check_projector", "check_isometry", "isometry_weights"):
             monkeypatch.setattr(game, name, lambda *a, name=name, **k: ran.append(name))
-        V = random_isometry(2, v_rows, RngStream(7))
         with pytest.raises(CapacityError, match=r"\(6, [236]\) matrix exceeds the dimension budget 5"):
-            if factor:
-                AdversarySpec.from_factor(V, random_isometry(3, 6, RngStream(8)))
-            else:
-                AdversarySpec(V, random_projector(6, 3, RngStream(8)))
+            (AdversarySpec.from_factor if factor else AdversarySpec)(V, held)
         assert ran == []
 
     def test_zero_rank_factor(self):

@@ -159,6 +159,45 @@ def test_detects_a_tail_report_built_elsewhere(tmp_path):
     assert _tail_report_builders(probe) == ["_tail_report", "width_tail_bench", None]
 
 
+def _capacity_raisers(path):
+    """The top-level def (None outside one) around each `raise CapacityError` of a module."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name == "CapacityError":
+                    found.append(owner)
+    return found
+
+
+def test_only_the_budget_checks_and_cutoffs_raise_capacity_errors():
+    """One refusal rule: a size is refused by check_norm_budget or check_entries, called by the
+    routine that allocates, or by one of the three search cutoffs."""
+    modules = sorted(SRC.glob("*.py"))
+    raisers = {(p.name, owner) for p in modules for owner in _capacity_raisers(p)}
+    assert raisers == {
+        ("numerics.py", "check_norm_budget"),
+        ("numerics.py", "check_entries"),
+        ("game.py", "check_bruteforce_size"),
+        ("relaxations.py", "subset_norm_conjecture"),  # SUBSET_CUTOFF
+        ("attacks.py", "bv_query_dimension"),
+    }
+
+
+def test_detects_a_capacity_error_raised_elsewhere(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def check_entries():\n    raise CapacityError('x')\n"
+        "def random_family():\n    if big:\n        raise numerics.CapacityError\n"
+        "def other():\n    raise ValueError('x')\n"
+        "raise CapacityError('top')\n"
+    )
+    assert _capacity_raisers(probe) == ["check_entries", "random_family", None]
+
+
 def _constants_and_reads(path):
     """(UPPER_CASE names assigned at module level, names loaded or read as attributes)."""
     tree = ast.parse(path.read_text())

@@ -16,6 +16,7 @@ from phaselab.numerics import (
     NORM_MAX_DIM,
     CapacityError,
     RngStream,
+    check_entries,
     check_isometry,
     check_projector,
     check_unit_vector,
@@ -457,6 +458,38 @@ class TestRandomOperators:
     def test_projector_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             random_projector(4, 5, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda rng: random_isometry(2, 9, rng),
+            lambda rng: random_isometry(9, 9, rng),
+            lambda rng: random_isometry(9, 2, rng),  # n_out < n_in too: the size comes first
+            lambda rng: random_projector(9, 2, rng),
+            lambda rng: random_projector(9, 0, rng),  # the rank-0 branch, which draws nothing
+        ],
+    )
+    def test_oversize_draw_refused_before_drawing(self, sample, monkeypatch):
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
+        drawn = []
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append(self))
+        with pytest.raises(CapacityError, match="matrix exceeds the dimension budget 8"):
+            sample(RngStream(3))
+        assert drawn == []
+
+    def test_draws_at_the_budget_run(self, monkeypatch):
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
+        assert random_isometry(8, 8, RngStream(3)).shape == (8, 8)
+        assert random_projector(8, 3, RngStream(3)).shape == (8, 8)
+
+
+class TestCheckEntries:
+    def test_refuses_only_past_the_square_of_the_dimension_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "NORM_MAX_DIM", 8)
+        check_entries(64, "64 signs")
+        with pytest.raises(CapacityError) as err:
+            check_entries(65, "5 x 13 signs")
+        assert str(err.value) == "5 x 13 signs exceed the budget of 64 entries (8^2)"
 
 
 class TestSpanBasis:

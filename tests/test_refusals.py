@@ -16,7 +16,7 @@ from phaselab.bench import (
     width_tail_bench,
 )
 from phaselab.cli import ExperimentConfig, load_instance, run, save_instance
-from phaselab.compression import extend_to_isometry
+from phaselab.compression import extend_to_isometry, verify_one_query_simulation
 from phaselab.game import (
     AdversarySpec,
     acceptance_probability,
@@ -150,6 +150,11 @@ CASES = [
         "unknown bench name 'nope'",
     ),
     # compression
+    _case(
+        "compress-L",
+        lambda d: verify_one_query_simulation(random_isometry(2, 4, RNG), 0, 5, RNG),
+        "isometry output 4 != L*S for L = 0, S = None",
+    ),
     _case(
         "embed-smaller",
         lambda d: extend_to_isometry([np.ones(3) / np.sqrt(3)], [_e0(2)]),
